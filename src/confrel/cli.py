@@ -149,16 +149,12 @@ def _cmd_classify_measure(args):
         )
         ok = big
     elif measure.kind == measures.POSSIBILITY:
-        result["possibility_acceptance"] = [
-            _verdict_json(v) for v in relations.is_acceptance_preorder(
-                measures.induce_relation(measure, "possibility"))
-        ]
-        result["necessity_acceptance"] = [
-            _verdict_json(v) for v in relations.is_acceptance_preorder(
-                measures.induce_relation(measure, "necessity"))
-        ]
-        ok = all(v["holds"] for v in result["possibility_acceptance"]
-                 + result["necessity_acceptance"])
+        ok = True
+        for flavor in ("possibility", "necessity"):
+            verdicts = relations.is_acceptance_preorder(
+                measures.induce_relation(measure, flavor))
+            result[f"{flavor}_acceptance"] = [_verdict_json(v) for v in verdicts]
+            ok = ok and all(v.holds for v in verdicts)
     else:
         label = measures.classify_acceptance_belief(measure)
         belief_ct = measures.is_context_tolerant_belief(measure)
@@ -240,9 +236,7 @@ def _cmd_entail(args):
 def _cmd_decompose(args):
     rel = fileio.load_relation(args.relation, args.max_states)
     cap = DECOMPOSE_MAX if args.max_states is None else args.max_states
-    family = representation.decompose(
-        rel, mode=args.mode, workers=args.workers, max_states=cap
-    )
+    family = representation.decompose(rel, mode=args.mode, max_states=cap)
     inputs = {"files": {args.relation: _sha256(args.relation)},
               "mode": args.mode}
     result = {"members": len(family.members),
@@ -370,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_sub("decompose", "complete relations refining a partial one")
     p.add_argument("relation")
     p.add_argument("--mode", choices=("all", "maximal"), default="all")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_decompose)
 
     p = add_sub("recompose", "intersect a family of relations")

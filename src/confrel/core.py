@@ -19,7 +19,6 @@ from .errors import DuplicateState, EmptySpace, SpaceMismatch, TooLarge
 # exhaustive axiom sweeps blow up much earlier.
 RELATION_MAX = 12
 DECOMPOSE_MAX = 5
-SWEEP_MAX = 4
 
 
 @dataclass(frozen=True)
@@ -148,6 +147,11 @@ class Event:
         return "{%s}" % ",".join(self.names())
 
 
+def _bits(x) -> int:
+    """The mask of an Event, or the value itself when it is already a mask."""
+    return x.bits if isinstance(x, Event) else x
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of mask in increasing numeric order, starting at 0."""
     sub = 0
@@ -171,11 +175,30 @@ def disjoint_pairs(space: StateSpace) -> Iterator[tuple[Event, Event]]:
             yield Event(space, a), Event(space, b)
 
 
+def _triple_masks(full: int) -> Iterator[tuple[int, int, int]]:
+    """All ordered pairwise-disjoint mask triples (a, b, c) under full, a
+    ascending, then b and c ascending among the submasks left free.
+
+    The submask steps are written out rather than nested submasks()
+    generators, so each triple costs one generator resume.
+    """
+    for a in range(full + 1):
+        free_a = full & ~a
+        b = 0
+        while True:
+            free = free_a & ~b
+            c = 0
+            while True:
+                yield a, b, c
+                c = (c - free) & free
+                if c == 0:
+                    break
+            b = (b - free_a) & free_a
+            if b == 0:
+                break
+
+
 def disjoint_triples(space: StateSpace) -> Iterator[tuple[Event, Event, Event]]:
     """All ordered pairwise-disjoint triples (A, B, C); 4^n of them."""
-    full = space.full_mask
-    for a in range(space.size):
-        for b in submasks(full & ~a):
-            rest = full & ~(a | b)
-            for c in submasks(rest):
-                yield Event(space, a), Event(space, b), Event(space, c)
+    for a, b, c in _triple_masks(space.full_mask):
+        yield Event(space, a), Event(space, b), Event(space, c)

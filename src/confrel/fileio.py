@@ -4,6 +4,7 @@ Every loader accepts either an already-parsed dict or a path to a JSON
 file; every dumper returns a plain dict that json.dump can write and the
 matching loader can read back. Events are encoded as arrays of state
 names, rationals as strings like "3/10" (whatever parse_rational takes).
+A field of the wrong shape raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -26,10 +27,14 @@ def _load(source: Source) -> dict:
     if isinstance(source, dict):
         return source
     with open(source, encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source} does not hold a JSON object")
+    return doc
 
 
-def _space(names, max_states) -> StateSpace:
+def _space(doc: dict, where: str, max_states) -> StateSpace:
+    names = _names(doc, "states", where)
     if max_states is None:
         return make_space(names)
     return make_space(names, max_states)
@@ -39,6 +44,25 @@ def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise ValueError(f"{where} file needs a {key!r} entry")
     return doc[key]
+
+
+def _names(doc: dict, key: str, where: str) -> list[str]:
+    names = _need(doc, key, where)
+    if not (isinstance(names, list) and all(isinstance(s, str) for s in names)):
+        raise ValueError(f"{where} {key!r} must be a list of names")
+    return names
+
+
+def _event_pairs(space: StateSpace, pairs, field: str) -> list:
+    # reading checks the shape: an entry that is not a pair of name
+    # lists fails inside the comprehension, at no cost to a good file
+    try:
+        if isinstance(pairs, list):
+            return [(space.event(a), space.event(b)) for a, b in pairs]
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{field} must list pairs of events, each a list of "
+                     "state names")
 
 
 def load_event(space: StateSpace, names) -> Event:
@@ -53,11 +77,9 @@ def event_names(event: Event) -> list[str]:
 
 def load_relation(source: Source, max_states=None) -> ConfidenceRelation:
     doc = _load(source)
-    space = _space(_need(doc, "states", "relation"), max_states)
-    pairs = [
-        (space.event(a), space.event(b))
-        for a, b in _need(doc, "pairs", "relation")
-    ]
+    space = _space(doc, "relation", max_states)
+    pairs = _event_pairs(space, _need(doc, "pairs", "relation"),
+                         "relation 'pairs'")
     if doc.get("strict_only", False):
         return lift_strict(space, close_strict_pairs(space, pairs))
     return ConfidenceRelation.from_weak_pairs(space, pairs)
@@ -75,10 +97,12 @@ def dump_relation(rel: ConfidenceRelation) -> dict:
 
 def load_measure(source: Source, max_states=None) -> Measure:
     doc = _load(source)
-    space = _space(_need(doc, "states", "measure"), max_states)
+    space = _space(doc, "measure", max_states)
     kind = _need(doc, "type", "measure")
     values = _need(doc, "values", "measure")
     if kind in (PROBABILITY, POSSIBILITY):
+        if not isinstance(values, (dict, list)):
+            raise ValueError(f"{kind} 'values' must be an object or a list")
         if isinstance(values, dict):
             stray = set(values) - set(space.states)
             if stray:
@@ -87,6 +111,8 @@ def load_measure(source: Source, max_states=None) -> Measure:
         maker = probability if kind == PROBABILITY else possibility
         return maker(space, values)
     if kind == MASS:
+        if not isinstance(values, dict):
+            raise ValueError("mass 'values' must be an object keyed by focal sets")
         focal = {}
         for key, v in values.items():
             focal[space.event(key.split(","))] = v
@@ -122,21 +148,29 @@ def load_kb(source: Source, max_states=None):
     the declared states instead. Returns (universe, base).
     """
     doc = _load(source)
-    rules = _need(doc, "rules", "knowledge base")
+    where = "knowledge base"
+    rules = _need(doc, "rules", where)
+    if not (isinstance(rules, list) and all(
+            isinstance(r, dict) and isinstance(r.get("if"), str)
+            and isinstance(r.get("then"), str) for r in rules)):
+        raise ValueError(
+            f"{where} 'rules' must be a list of objects with 'if' and 'then' "
+            "formulas"
+        )
+    atoms = _names(doc, "atoms", where)
     if "states" in doc:
-        universe = LabelledSpace(
-            doc["states"], _need(doc, "atoms", "knowledge base"),
-            doc.get("labels", {}),
-        )
+        labels = doc.get("labels", {})
+        if not (isinstance(labels, dict) and all(
+                isinstance(v, list) and all(isinstance(a, str) for a in v)
+                for v in labels.values())):
+            raise ValueError(f"{where} 'labels' must map states to lists of atoms")
+        universe = LabelledSpace(_names(doc, "states", where), atoms, labels)
     elif max_states is None:
-        universe = AtomUniverse(_need(doc, "atoms", "knowledge base"))
+        universe = AtomUniverse(atoms)
     else:
-        universe = AtomUniverse(_need(doc, "atoms", "knowledge base"), max_states)
+        universe = AtomUniverse(atoms, max_states)
     conditionals = [
-        conditional_from_formulas(
-            universe, _need(r, "if", "rule"), _need(r, "then", "rule")
-        )
-        for r in rules
+        conditional_from_formulas(universe, r["if"], r["then"]) for r in rules
     ]
     return universe, make_base(universe.space, conditionals)
 
@@ -189,12 +223,15 @@ def dump_kb(universe, base: ConditionalBase) -> dict:
 
 def load_family(source: Source, max_states=None) -> Family:
     doc = _load(source)
-    space = _space(_need(doc, "states", "family"), max_states)
-    members = []
-    for pairs in _need(doc, "members", "family"):
-        members.append(ConfidenceRelation.from_weak_pairs(
-            space, [(space.event(a), space.event(b)) for a, b in pairs]
-        ))
+    space = _space(doc, "family", max_states)
+    members = _need(doc, "members", "family")
+    if not isinstance(members, list):
+        raise ValueError("family 'members' must be a list of pair lists")
+    members = [
+        ConfidenceRelation.from_weak_pairs(
+            space, _event_pairs(space, pairs, "family 'members'"))
+        for pairs in members
+    ]
     if not members:
         raise EmptySpace("a family needs at least one member")
     return Family(space, tuple(members))

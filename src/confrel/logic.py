@@ -8,10 +8,12 @@ The grammar is deliberately small:
     unary   := '!' unary | 'true' | 'false' | atom | '(' formula ')'
     atom    := [A-Za-z_][A-Za-z0-9_]*
 
-There is no biconditional; write (f -> g) & (g -> f). A formula denotes an
-event (its set of models) in a space whose states carry truth assignments,
-either the full valuation space of an AtomUniverse or a user-declared space
-with per-state atom labellings.
+There is no biconditional; write (f -> g) & (g -> f). Operators and
+parentheses nest at most _MAX_DEPTH (100) deep, which keeps parsing and
+every recursive walk over a formula well inside Python's recursion limit.
+A formula denotes an event (its set of models) in a space whose states
+carry truth assignments, either the full valuation space of an
+AtomUniverse or a user-declared space with per-state atom labellings.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class Implies:
 
 Formula = Union[Atom, Const, Not, And, Or, Implies]
 
+_MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
 
 
@@ -80,11 +84,15 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent; each rule returns (formula, depth), where depth
+    counts the operators and parentheses on the formula's deepest path."""
+
     def __init__(self, text: str, known_atoms=None):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.known = None if known_atoms is None else frozenset(known_atoms)
+        self.open = 0  # '!', '(' and '->' the descent is currently inside
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -98,56 +106,79 @@ class _Parser:
         tok, at = self.tokens[self.i]
         raise FormulaSyntaxError(at, expected, tok if tok else "end of input")
 
+    def too_deep(self):
+        self.fail({f"at most {_MAX_DEPTH} nested operators"})
+
+    def descend(self, rule):
+        # the open count never exceeds the final depth, so checking it
+        # here stops runaway recursion before any depth is known
+        self.open += 1
+        if self.open > _MAX_DEPTH:
+            self.too_deep()
+        result = rule()
+        self.open -= 1
+        return result
+
+    def node(self, f: Formula, *depths: int) -> tuple[Formula, int]:
+        depth = max(depths) + 1
+        if depth > _MAX_DEPTH:
+            self.too_deep()
+        return f, depth
+
     def parse(self) -> Formula:
-        f = self.implies()
+        f, _ = self.implies()
         if self.peek() != "":
             self.fail({"'&'", "'|'", "'->'", "end of input"})
         return f
 
-    def implies(self) -> Formula:
-        left = self.disj()
+    def implies(self) -> tuple[Formula, int]:
+        left, d = self.disj()
         if self.peek() == "->":
             self.next()
-            return Implies(left, self.implies())
-        return left
+            right, dr = self.descend(self.implies)
+            return self.node(Implies(left, right), d, dr)
+        return left, d
 
-    def disj(self) -> Formula:
-        f = self.conj()
+    def disj(self) -> tuple[Formula, int]:
+        f, d = self.conj()
         while self.peek() == "|":
             self.next()
-            f = Or(f, self.conj())
-        return f
+            g, dg = self.conj()
+            f, d = self.node(Or(f, g), d, dg)
+        return f, d
 
-    def conj(self) -> Formula:
-        f = self.unary()
+    def conj(self) -> tuple[Formula, int]:
+        f, d = self.unary()
         while self.peek() == "&":
             self.next()
-            f = And(f, self.unary())
-        return f
+            g, dg = self.unary()
+            f, d = self.node(And(f, g), d, dg)
+        return f, d
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok == "!":
             self.next()
-            return Not(self.unary())
+            f, d = self.descend(self.unary)
+            return self.node(Not(f), d)
         if tok == "(":
             self.next()
-            f = self.implies()
+            f, d = self.descend(self.implies)
             if self.peek() != ")":
                 self.fail({"')'"})
             self.next()
-            return f
+            return self.node(f, d)
         if tok == "true":
             self.next()
-            return Const(True)
+            return Const(True), 0
         if tok == "false":
             self.next()
-            return Const(False)
+            return Const(False), 0
         if tok and (tok[0].isalpha() or tok[0] == "_"):
             self.next()
             if self.known is not None and tok not in self.known:
                 raise UnknownAtom(f"atom {tok!r} is not declared")
-            return Atom(tok)
+            return Atom(tok), 0
         self.fail({"atom", "'true'", "'false'", "'!'", "'('"})
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .core import Event, StateSpace, submasks
+from .core import Event, StateSpace, _bits, _triple_masks, submasks
 from .errors import KindMismatch, ZeroDenominator
 from .relations import ConfidenceRelation
 
@@ -84,8 +84,7 @@ def possibility(space: StateSpace, values: Sequence) -> Measure:
 def mass(space: StateSpace, focal) -> Measure:
     pairs = []
     for key, v in focal.items() if hasattr(focal, "items") else focal:
-        m = key.bits if isinstance(key, Event) else key
-        pairs.append((m, parse_rational(v)))
+        pairs.append((_bits(key), parse_rational(v)))
     pairs.sort()
     if any(m == 0 for m, _ in pairs):
         raise ValueError("the empty event cannot be focal")
@@ -126,6 +125,16 @@ def _pl_int(n: int, weights) -> list[int]:
     return [total - bel[full & ~a] for a in range(1 << n)]
 
 
+def _poss_int(n: int, weights) -> list[int]:
+    # weights are per-state: (1 << i, degree); an event's possibility is
+    # the larger of its low state's degree and that of the rest
+    w = dict(weights)
+    tab = [0] * (1 << n)
+    for a in range(1, 1 << n):
+        tab[a] = max(tab[a & (a - 1)], w[a & -a])
+    return tab
+
+
 def table_for(measure: Measure, flavor: Optional[str] = None) -> tuple[Fraction, ...]:
     """Per-event value table of the requested set function."""
     if flavor is None:
@@ -142,18 +151,11 @@ def table_for(measure: Measure, flavor: Optional[str] = None) -> tuple[Fraction,
         return tuple(Fraction(tab[a], denom) for a in range(size))
     if flavor in ("possibility", "necessity"):
         _require(measure, POSSIBILITY)
-        per_state = dict(measure.weights)
-        def poss(mask: int) -> Fraction:
-            best = Fraction(0)
-            while mask:
-                bit = mask & -mask
-                if per_state[bit] > best:
-                    best = per_state[bit]
-                mask &= mask - 1
-            return best
+        denom, weights = _int_weights(measure)
+        tab = _poss_int(n, weights)
         if flavor == "possibility":
-            return tuple(poss(a) for a in range(size))
-        return tuple(_ONE - poss(full & ~a) for a in range(size))
+            return tuple(Fraction(tab[a], denom) for a in range(size))
+        return tuple(Fraction(denom - tab[full & ~a], denom) for a in range(size))
     if flavor in ("belief", "plausibility"):
         _require(measure, MASS)
         denom, weights = _int_weights(measure)
@@ -211,22 +213,14 @@ def induce_sup_relation(measure: Measure) -> ConfidenceRelation:
     reverse inclusion. The strict part is self dual by construction."""
     _require(measure, POSSIBILITY)
     space = measure.space
-    per_state = dict(measure.weights)
-
-    def poss(mask: int) -> Fraction:
-        best = Fraction(0)
-        while mask:
-            bit = mask & -mask
-            if per_state[bit] > best:
-                best = per_state[bit]
-            mask &= mask - 1
-        return best
+    _, weights = _int_weights(measure)
+    poss = _poss_int(space.n, weights)
 
     rows = [0] * space.size
     for a in range(space.size):
         row = 0
         for b in range(space.size):
-            if b & ~a == 0 or poss(a & ~b) > poss(b & ~a):
+            if b & ~a == 0 or poss[a & ~b] > poss[b & ~a]:
                 row |= 1 << b
         rows[a] = row
     return ConfidenceRelation(space, tuple(rows))
@@ -285,13 +279,10 @@ def brute_force_ct(values: Sequence) -> bool:
     n = size.bit_length() - 1
     if 1 << n != size:
         raise ValueError("table length must be a power of two")
-    full = size - 1
-    for a in range(size):
-        for b in submasks(full & ~a):
-            ab = values[a | b]
-            for c in submasks(full & ~(a | b)):
-                if ab > values[c] and values[a | c] > values[b] and not values[a] > values[b | c]:
-                    return False
+    for a, b, c in _triple_masks(size - 1):
+        if (values[a | b] > values[c] and values[a | c] > values[b]
+                and not values[a] > values[b | c]):
+            return False
     return True
 
 

@@ -226,6 +226,24 @@ def _pair_events(space, *pairs) -> tuple:
     )
 
 
+def _first(name: str, witnesses) -> Verdict:
+    """Verdict on the first witness the generator yields, if any."""
+    witness = next(witnesses, None)
+    return Verdict(name, witness is None, witness)
+
+
+def _unclosed(space, members, ordered, rule) -> Iterator[tuple]:
+    for p in ordered:
+        for q in ordered:
+            conclusion = rule(p, q)
+            if conclusion is not None and conclusion not in members:
+                yield _pair_events(space, p, q, conclusion)
+
+
+def _empty_support(space, ordered) -> Iterator[tuple]:
+    return (_pair_events(space, (e, f)) for e, f in ordered if e == 0)
+
+
 def roundtrip_kb(base: ConditionalBase) -> dict[str, Verdict]:
     """Check that a closed base's pairs form a strict acceptance order on
     disjoint events.
@@ -239,60 +257,28 @@ def roundtrip_kb(base: ConditionalBase) -> dict[str, Verdict]:
     closed = base if base.closed else close_p(base)
     space = closed.space
     members = set(closed.pairs)
+    ordered = sorted(members)
     by_support: dict[int, list[Pair]] = {}
     for p in members:
         by_support.setdefault(p[0], []).append(p)
 
-    verdicts: dict[str, Verdict] = {}
-
-    witness = None
-    for e, f in sorted(members):
-        if e == f:
-            witness = _pair_events(space, (e, f))
-            break
-    verdicts["IR"] = Verdict("IR", witness is None, witness)
-
-    witness = None
-    for a, b in sorted(members):
-        for b2, c in sorted(by_support.get(b, ())):
-            if a & c == 0 and (a, c) not in members:
-                witness = _pair_events(space, (a, b), (b, c), (a, c))
-                break
-        if witness:
-            break
-    verdicts["T"] = Verdict("T", witness is None, witness)
-
-    witness = None
-    for a, b in sorted(members):
-        for x in submasks(b):
-            for b2 in submasks(b & ~x):
-                if (a | x, b2) not in members:
-                    witness = _pair_events(space, (a, b), (a | x, b2))
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    verdicts["O"] = Verdict("O", witness is None, witness)
-
-    witness = None
-    for p in sorted(members):
-        for q in sorted(members):
-            conclusion = rule_cand(p, q)
-            if conclusion is not None and conclusion not in members:
-                witness = _pair_events(space, p, q, conclusion)
-                break
-        if witness:
-            break
-    verdicts["Ac"] = Verdict("Ac", witness is None, witness)
-
-    witness = None
-    for e, f in sorted(members):
-        if e == 0:
-            witness = _pair_events(space, (e, f))
-            break
-    verdicts["CP"] = Verdict("CP", witness is None, witness)
-    return verdicts
+    return {
+        "IR": _first("IR", (
+            _pair_events(space, (e, f)) for e, f in ordered if e == f)),
+        "T": _first("T", (
+            _pair_events(space, (a, b), (b, c), (a, c))
+            for a, b in ordered
+            for _, c in sorted(by_support.get(b, ()))
+            if a & c == 0 and (a, c) not in members)),
+        "O": _first("O", (
+            _pair_events(space, (a, b), (a | x, b2))
+            for a, b in ordered
+            for x in submasks(b)
+            for b2 in submasks(b & ~x)
+            if (a | x, b2) not in members)),
+        "Ac": _first("Ac", _unclosed(space, members, ordered, rule_cand)),
+        "CP": _first("CP", _empty_support(space, ordered)),
+    }
 
 
 def roundtrip_relation(rel: ConfidenceRelation) -> dict[str, Verdict]:
@@ -301,36 +287,16 @@ def roundtrip_relation(rel: ConfidenceRelation) -> dict[str, Verdict]:
     space = rel.space
     members = strict_disjoint_pairs(rel)
     ordered = sorted(members)
-    verdicts: dict[str, Verdict] = {}
-
-    for name, rule in _BINARY_RULES:
-        witness = None
-        for p in ordered:
-            for q in ordered:
-                conclusion = rule(p, q)
-                if conclusion is not None and conclusion not in members:
-                    witness = _pair_events(space, p, q, conclusion)
-                    break
-            if witness:
-                break
-        verdicts[name] = Verdict(name, witness is None, witness)
-
-    witness = None
-    for p in ordered:
-        for conclusion in rule_rw(p):
-            if conclusion not in members:
-                witness = _pair_events(space, p, conclusion)
-                break
-        if witness:
-            break
-    verdicts["RW"] = Verdict("RW", witness is None, witness)
-
-    witness = None
-    for e, f in ordered:
-        if e == 0:
-            witness = _pair_events(space, (e, f))
-            break
-    verdicts["CP"] = Verdict("CP", witness is None, witness)
+    verdicts = {
+        name: _first(name, _unclosed(space, members, ordered, rule))
+        for name, rule in _BINARY_RULES
+    }
+    verdicts["RW"] = _first("RW", (
+        _pair_events(space, p, conclusion)
+        for p in ordered
+        for conclusion in rule_rw(p)
+        if conclusion not in members))
+    verdicts["CP"] = _first("CP", _empty_support(space, ordered))
     return verdicts
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Optional
 
-from .core import Event, StateSpace, submasks
+from .core import Event, StateSpace, _bits, _triple_masks, submasks
 from .errors import SpaceMismatch, StrictAxiomViolation, TooLarge
 
 
@@ -123,18 +123,21 @@ class ConfidenceRelation:
     def from_weak_pairs(cls, space: StateSpace, pairs) -> "ConfidenceRelation":
         rows = [0] * space.size
         for a, b in pairs:
-            ab = a.bits if isinstance(a, Event) else a
-            bb = b.bits if isinstance(b, Event) else b
-            rows[ab] |= 1 << bb
+            rows[_bits(a)] |= 1 << _bits(b)
         return cls(space, tuple(rows))
 
 
-def dual(rel: ConfidenceRelation) -> ConfidenceRelation:
-    return rel.dual()
-
-
-def condition(rel: ConfidenceRelation, c: Event) -> ConfidenceRelation:
-    return rel.condition(c)
+def _inclusion_rows(n: int) -> list[int]:
+    """Weak rows of reverse inclusion over n states: bit b of row a is set
+    iff b is a submask of a."""
+    rows = [1]
+    for a in range(1, 1 << n):
+        # the submasks of a are those of a without its low bit, each
+        # also taken with that bit added (index shifted up by low)
+        low = a & -a
+        rest = rows[a ^ low]
+        rows.append(rest | rest << low)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +201,8 @@ def _ac_like(rel, axiom, triples):
     return Verdict(axiom, True)
 
 
-def _disjoint_triple_masks(space):
-    full = space.full_mask
-    for a in range(space.size):
-        for b in submasks(full & ~a):
-            for c in submasks(full & ~(a | b)):
-                yield a, b, c
-
-
 def _check_ac(rel):
-    return _ac_like(rel, "Ac", _disjoint_triple_masks(rel.space))
+    return _ac_like(rel, "Ac", _triple_masks(rel.space.full_mask))
 
 
 def _check_qual(rel):
@@ -307,14 +302,14 @@ def _check_type_and(rel):
 
 
 def _check_weak_and(rel):
-    for a, b, c in _disjoint_triple_masks(rel.space):
+    for a, b, c in _triple_masks(rel.space.full_mask):
         if rel.s(a | b, b) and not rel.s(a | b | c, b | c):
             return Verdict("WEAK_AND", False, _ev(rel.space, a, b, c))
     return Verdict("WEAK_AND", True)
 
 
 def _check_weak_or(rel):
-    for a, b, c in _disjoint_triple_masks(rel.space):
+    for a, b, c in _triple_masks(rel.space.full_mask):
         if rel.s(a | b | c, b | c) and not rel.s(a | b, b):
             return Verdict("WEAK_OR", False, _ev(rel.space, a, b, c))
     return Verdict("WEAK_OR", True)
@@ -397,34 +392,28 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
     The input is checked as given (irreflexive, transitive, O, the
     acceptance axiom on disjoint triples); no closure is applied first.
     """
-    pairs = set()
-    for a, b in strict_pairs:
-        ab = a.bits if isinstance(a, Event) else a
-        bb = b.bits if isinstance(b, Event) else b
-        pairs.add((ab, bb))
+    pairs = {(_bits(a), _bits(b)) for a, b in strict_pairs}
+    ordered = sorted(pairs)
 
     full = space.full_mask
-    for a, b in sorted(pairs):
+    for a, b in ordered:
         if a == b:
             raise StrictAxiomViolation("IR", _ev(space, a))
-    for a, b in sorted(pairs):
-        for b2, c in sorted(pairs):
+    for a, b in ordered:
+        for b2, c in ordered:
             if b2 == b and (a, c) not in pairs:
                 raise StrictAxiomViolation("T", _ev(space, a, b, c))
-    for a, b in sorted(pairs):
+    for a, b in ordered:
         for sup in submasks(full & ~a):
             a2 = a | sup
             for b2 in submasks(b):
                 if (a2, b2) not in pairs:
                     raise StrictAxiomViolation("O", _ev(space, a, a2, b, b2))
-    for a, b, c in _disjoint_triple_masks(space):
+    for a, b, c in _triple_masks(full):
         if (a | b, c) in pairs and (a | c, b) in pairs and (a, b | c) not in pairs:
             raise StrictAxiomViolation("Ac", _ev(space, a, b, c))
 
-    rows = [0] * space.size
-    for a in range(space.size):
-        for sub in submasks(a):
-            rows[a] |= 1 << sub
+    rows = _inclusion_rows(space.n)
     for a, b in pairs:
         rows[a] |= 1 << b
     return ConfidenceRelation(space, tuple(rows))
@@ -435,11 +424,7 @@ def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]
     axiom (growing the left side, shrinking the right side); the result
     is what lift_strict can accept, unless the seeds force a cycle."""
     full = space.full_mask
-    pairs: set[tuple[int, int]] = set()
-    for a, b in seed_pairs:
-        ab = a.bits if isinstance(a, Event) else a
-        bb = b.bits if isinstance(b, Event) else b
-        pairs.add((ab, bb))
+    pairs = {(_bits(a), _bits(b)) for a, b in seed_pairs}
     changed = True
     while changed:
         changed = False
@@ -459,7 +444,7 @@ def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]
 
 def strict_order_from_chain(space: StateSpace, chain) -> set[tuple[Event, Event]]:
     """Materialize a descending chain of events as an admissible strict order."""
-    masks = [e.bits if isinstance(e, Event) else e for e in chain]
+    masks = [_bits(e) for e in chain]
     seeds = [
         (masks[i], masks[j])
         for i in range(len(masks))
@@ -566,7 +551,7 @@ def conditional_kernel_characterization(rel: ConfidenceRelation) -> Verdict:
 
 def negligibility_chain(rel: ConfidenceRelation) -> Verdict:
     """Disjoint C equiv A > B forces A equiv A|B equiv C equiv C|B > B."""
-    for a, b, c in _disjoint_triple_masks(rel.space):
+    for a, b, c in _triple_masks(rel.space.full_mask):
         if not (rel.e(c, a) and rel.s(a, b)):
             continue
         ok = (
@@ -594,7 +579,7 @@ def plausible_union_growth(rel: ConfidenceRelation) -> Verdict:
 
 def negligibility_collapse(rel: ConfidenceRelation) -> Verdict:
     """Disjoint C equiv A > B forces B equiv the empty event."""
-    for a, b, c in _disjoint_triple_masks(rel.space):
+    for a, b, c in _triple_masks(rel.space.full_mask):
         if rel.e(c, a) and rel.s(a, b) and not rel.e(b, 0):
             return Verdict("negligibility_collapse", False, _ev(rel.space, a, b, c))
     return Verdict("negligibility_collapse", True)
@@ -612,12 +597,7 @@ def all_acceptance_preorders(space: StateSpace) -> Iterator[ConfidenceRelation]:
     n = space.size
     if space.n > 2:
         raise TooLarge("exhaustive relation enumeration needs n <= 2")
-    required = []
-    for a in range(n):
-        req = 0
-        for sub in submasks(a):
-            req |= 1 << sub
-        required.append(req)
+    required = _inclusion_rows(space.n)
     for rows in product(range(1 << n), repeat=n):
         if any(rows[a] & required[a] != required[a] for a in range(n)):
             continue

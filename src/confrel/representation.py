@@ -16,13 +16,12 @@ weak matrices, which is sound when all members agree on equivalences.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import DECOMPOSE_MAX, Event, StateSpace, submasks
+from .core import DECOMPOSE_MAX, Event, StateSpace, _triple_masks, submasks
 from .errors import NotAcceptance, SharedEquivalenceViolated, TooLarge
-from .relations import ConfidenceRelation, is_acceptance_preorder
+from .relations import ConfidenceRelation, _inclusion_rows, is_acceptance_preorder
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,7 @@ class ConstrainedRelation:
         return bool(self.rows[x] >> y & 1) and bool(self.forbidden[y] >> x & 1)
 
     def is_complete(self) -> bool:
-        n = self.space.size
-        return all(
-            (self.rows[a] >> b | self.rows[b] >> a) & 1
-            for a in range(n)
-            for b in range(a + 1, n)
-        )
+        return self.relation().is_complete()
 
 
 def constrain(rel: ConfidenceRelation) -> ConstrainedRelation:
@@ -86,12 +80,7 @@ def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradictio
     rows = list(cr.rows)
     forbidden = list(cr.forbidden)
 
-    required = []
-    for a in range(n):
-        req = 0
-        for sub in submasks(a):
-            req |= 1 << sub
-        required.append(req)
+    required = _inclusion_rows(space.n)
 
     def clash(pair) -> Contradiction:
         return Contradiction((Event(space, pair[0]), Event(space, pair[1])))
@@ -143,16 +132,14 @@ def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradictio
                         return clash(pair)
                     changed = True
         strict = set(committed)
-        for a in range(n):
-            for b in submasks(full & ~a):
-                for c in submasks(full & ~(a | b)):
-                    if (a | b, c) in strict and (a | c, b) in strict:
-                        if (a, b | c) in strict:
-                            continue
-                        pair = _commit(rows, forbidden, a, b | c)
-                        if pair is not None:
-                            return clash(pair)
-                        changed = True
+        for a, b, c in _triple_masks(full):
+            if (a | b, c) in strict and (a | c, b) in strict:
+                if (a, b | c) in strict:
+                    continue
+                pair = _commit(rows, forbidden, a, b | c)
+                if pair is not None:
+                    return clash(pair)
+                changed = True
     return ConstrainedRelation(space, tuple(rows), tuple(forbidden))
 
 
@@ -192,14 +179,14 @@ def _first_incomparable(rows) -> Optional[tuple[int, int]]:
     return None
 
 
-def decompose(rel: ConfidenceRelation, mode: str = "all", workers: int = 1,
+def decompose(rel: ConfidenceRelation, mode: str = "all",
               max_states: int = DECOMPOSE_MAX) -> Family:
     """Every way of completing the relation by orienting incomparable
     pairs, one commitment at a time, closing after each.
 
-    The result is deduplicated and sorted, so it does not depend on the
-    exploration schedule. Members are re-verified: complete, still an
-    acceptance preorder, and no equivalences beyond the original's.
+    The result is deduplicated and sorted. Members are re-verified:
+    complete, still an acceptance preorder, and no equivalences beyond the
+    original's.
     """
     if mode not in ("all", "maximal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -227,21 +214,7 @@ def decompose(rel: ConfidenceRelation, mode: str = "all", workers: int = 1,
             leaves.extend(explore(branch))
         return leaves
 
-    first = _first_incomparable(root.rows)
-    if workers > 1 and first is not None:
-        a, b = first
-        branches = []
-        for x, y in ((a, b), (b, a)):
-            branch = commit_strict(root, Event(space, x), Event(space, y))
-            if not isinstance(branch, Contradiction):
-                branches.append(branch)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(explore, branches))
-        rows_list = [rows for chunk in chunks for rows in chunk]
-    else:
-        rows_list = explore(root)
-
-    members = sorted(set(rows_list))
+    members = sorted(set(explore(root)))
     base_equiv = _equivalence_pairs(rel.rows)
     relations = []
     for rows in members:

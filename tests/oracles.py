@@ -57,6 +57,27 @@ def naive_pl(weights, event):
     )
 
 
+def naive_poss(values, event):
+    """Possibility of an event: the best degree among its states."""
+    return max(
+        (v for i, v in enumerate(values) if event >> i & 1), default=Fraction(0)
+    )
+
+
+def naive_sup_rows(values):
+    """Weak rows of the order that compares set differences: A >= B when
+    B lies inside A, or the best state of A - B beats that of B - A."""
+    size = 1 << len(values)
+    return tuple(
+        sum(
+            1 << b for b in range(size)
+            if b & ~a == 0
+            or naive_poss(values, a & ~b) > naive_poss(values, b & ~a)
+        )
+        for a in range(size)
+    )
+
+
 def weak_holds(rows, a, b):
     return bool(rows[a] >> b & 1)
 

@@ -242,13 +242,6 @@ def test_decompose_and_recompose_via_files(capsys, tmp_path, s3):
     assert load_relation(report["result"]["relation"]) == rel
 
 
-def test_decompose_workers_do_not_change_output(capsys, tmp_path, s3):
-    path = write_json(tmp_path, "incl.json", dump_relation(inclusion_relation(s3)))
-    _, out1, _ = run(capsys, "decompose", path, "--workers", "1")
-    _, out2, _ = run(capsys, "decompose", path, "--workers", "2")
-    assert out1 == out2
-
-
 def test_roundtrip_subcommand(capsys, penguin_file, necessity_file):
     path, _ = necessity_file
     code, report = run_json(capsys, "roundtrip", "--kb", penguin_file)
@@ -303,3 +296,24 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
     assert code == 2
     code, _, err = run(capsys, "decompose", path, "--max-states", "2")
     assert code == 2 and "cap" in err
+    for command, doc, field in (
+        ("check-axioms", {"states": ["a", "b"], "pairs": 5}, "pairs"),
+        ("check-axioms", {"states": ["a", "b"], "pairs": [5]}, "pairs"),
+        ("check-axioms", {"states": [1, 2], "pairs": []}, "states"),
+        ("check-axioms", {"states": "ab", "pairs": []}, "states"),
+        ("check-axioms", ["states"], "JSON object"),
+        ("classify-measure",
+         {"states": ["a", "b"], "type": "mass", "values": ["1"]}, "values"),
+        ("close-kb", {"atoms": ["a"], "rules": [5]}, "rules"),
+        ("close-kb", {"atoms": "ab", "rules": []}, "atoms"),
+        ("close-kb", {"states": ["w"], "atoms": ["a"], "labels": 5,
+                      "rules": []}, "labels"),
+        ("close-kb", {"atoms": ["a"],
+                      "rules": [{"if": "!" * 5000 + "a", "then": "a"}]},
+         "nested"),
+        ("recompose", {"states": ["a"], "members": [5]}, "members"),
+    ):
+        shape = write_json(tmp_path, "shape.json", doc)
+        code, out, err = run(capsys, command, shape)
+        assert (code, out) == (2, ""), doc
+        assert err.startswith("error:") and field in err, err

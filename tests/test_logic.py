@@ -34,6 +34,29 @@ def test_to_text_roundtrips_structure(text):
     assert parse(to_text(f)) == f
 
 
+@pytest.mark.parametrize("text", [
+    "!" * 5000 + "a",
+    "(" * 5000 + "a" + ")" * 5000,
+    " & ".join(["a"] * 5000),
+    " -> ".join(["a"] * 5000),
+    "!" * 101 + "a",
+])
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(FormulaSyntaxError):
+        parse(text)
+
+
+def test_nesting_at_the_bound_parses_and_evaluates():
+    # 98 negations, the parentheses and the disjunction: depth 100
+    f = parse("!" * 98 + "(a | a)")
+    assert evaluate(f, lambda name: True) is True
+    with pytest.raises(FormulaSyntaxError):
+        parse("!" * 99 + "(a | a)")
+    chain = parse(" & ".join(["a"] * 101))
+    assert evaluate(chain, lambda name: True) is True
+    assert parse(to_text(chain)) == chain
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(FormulaSyntaxError) as err:
         parse("a & (b |")

@@ -31,7 +31,7 @@ from confrel import (
     table_for,
     uniform_probability,
 )
-from oracles import naive_bel, naive_pl
+from oracles import naive_bel, naive_pl, naive_poss, naive_sup_rows
 
 F = Fraction
 
@@ -107,6 +107,28 @@ def test_necessity_is_one_minus_possibility_of_complement(s3):
     full = s3.full_mask
     assert all(nec[a] == 1 - poss[full & ~a] for a in range(s3.size))
     assert poss[0] == 0 and poss[full] == 1
+
+
+def test_possibility_tables_and_sup_order_match_naive_max():
+    rng = random.Random(5)
+    grid = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
+    for n in range(1, 6):
+        space = make_space([f"s{i}" for i in range(n)])
+        full = space.full_mask
+        draws = [[F(1)] + [F(0), F(1, 2), F(1, 2), F(1)][:n - 1]]
+        for _ in range(8):
+            values = [rng.choice(grid) for _ in range(n)]
+            values[rng.randrange(n)] = F(1)
+            draws.append(values)
+        for values in draws:
+            m = possibility(space, values)
+            poss = table_for(m, "possibility")
+            nec = table_for(m, "necessity")
+            for a in range(space.size):
+                assert type(poss[a]) is F and type(nec[a]) is F
+                assert poss[a] == naive_poss(values, a)
+                assert nec[a] == 1 - naive_poss(values, full & ~a)
+            assert induce_sup_relation(m).rows == naive_sup_rows(values)
 
 
 def test_flavor_kind_mismatches(s3):

@@ -107,11 +107,6 @@ def test_maximal_mode_agrees_with_all(s3):
         assert decompose(rel, mode="maximal") == decompose(rel, mode="all")
 
 
-def test_workers_do_not_change_the_family(s3):
-    rel = inclusion_relation(s3)
-    assert decompose(rel, workers=2) == decompose(rel, workers=1)
-
-
 # -- recomposition -----------------------------------------------------------
 
 def test_recompose_inverts_decompose(s2, s3):
