@@ -67,7 +67,7 @@ def _event_from_text(space: StateSpace, text: str) -> Event:
     if all(n in space.states for n in names):
         return space.event(names)
     labelled = LabelledSpace(space.states, space.states,
-                             {s: [s] for s in space.states})
+                             {s: [s] for s in space.states}, space.n)
     return Event(space, labelled.models(text).bits)
 
 

@@ -10,6 +10,7 @@ reports reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import DuplicateState, EmptySpace, SpaceMismatch, TooLarge
@@ -49,13 +50,22 @@ class StateSpace:
     def full_mask(self) -> int:
         return (1 << len(self.states)) - 1
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.states)}
+
     def index(self, name: str) -> int:
         try:
-            return self.states.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise KeyError(f"no state named {name!r}") from None
 
     def event(self, names) -> "Event":
+        """The event of the named states. A string is refused rather than
+        read one character per name."""
+        if isinstance(names, str):
+            raise TypeError("an event takes a collection of state names, "
+                            f"not the string {names!r}")
         bits = 0
         for name in names:
             bits |= 1 << self.index(name)

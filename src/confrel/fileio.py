@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .core import Event, StateSpace, make_space
+from .core import RELATION_MAX, Event, StateSpace, make_space
 from .errors import EmptySpace
 from .logic import AtomUniverse, LabelledSpace
 from .measures import MASS, POSSIBILITY, PROBABILITY, Measure, mass, possibility, probability
@@ -115,7 +115,7 @@ def load_measure(source: Source, max_states=None) -> Measure:
             raise ValueError("mass 'values' must be an object keyed by focal sets")
         focal = {}
         for key, v in values.items():
-            focal[space.event(key.split(","))] = v
+            focal[space.event(name.strip() for name in key.split(","))] = v
         return mass(space, focal)
     raise ValueError(f"unknown measure type {kind!r}")
 
@@ -158,17 +158,17 @@ def load_kb(source: Source, max_states=None):
             "formulas"
         )
     atoms = _names(doc, "atoms", where)
+    cap = RELATION_MAX if max_states is None else max_states
     if "states" in doc:
         labels = doc.get("labels", {})
         if not (isinstance(labels, dict) and all(
                 isinstance(v, list) and all(isinstance(a, str) for a in v)
                 for v in labels.values())):
             raise ValueError(f"{where} 'labels' must map states to lists of atoms")
-        universe = LabelledSpace(_names(doc, "states", where), atoms, labels)
-    elif max_states is None:
-        universe = AtomUniverse(atoms)
+        universe = LabelledSpace(_names(doc, "states", where), atoms, labels,
+                                 cap)
     else:
-        universe = AtomUniverse(atoms, max_states)
+        universe = AtomUniverse(atoms, cap)
     conditionals = [
         conditional_from_formulas(universe, r["if"], r["then"]) for r in rules
     ]

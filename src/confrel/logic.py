@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .core import RELATION_MAX, Event, StateSpace
+from .core import RELATION_MAX, Event, StateSpace, make_space
 from .errors import DuplicateState, FormulaSyntaxError, TooLarge, UnknownAtom
 
 
@@ -287,9 +287,10 @@ class LabelledSpace:
     and says which atoms hold in each; formulas then evaluate per state.
     """
 
-    def __init__(self, states, atoms, labels: dict):
+    def __init__(self, states, atoms, labels: dict,
+                 max_states: int = RELATION_MAX):
         self.atoms = _check_atoms(atoms)
-        self.space = StateSpace(tuple(states))
+        self.space = make_space(states, max_states)
         known = set(self.atoms)
         self.labels = {}
         for s in self.space.states:

@@ -12,7 +12,8 @@ closure immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 from .core import Event, StateSpace, submasks
 from .errors import EmptyAntecedent, ReflexiveAssertion, SpaceMismatch
@@ -80,9 +81,14 @@ class ConditionalBase:
     contradiction: Optional[Pair] = None
     provenance: Optional[dict] = field(default=None, compare=False)
 
+    @cached_property
+    def member_set(self) -> frozenset[Pair]:
+        """The pairs as a set, built on first use."""
+        return frozenset(self.pairs)
+
     def __contains__(self, item) -> bool:
         key = item.pair() if isinstance(item, Conditional) else tuple(item)
-        return key in set(self.pairs)
+        return key in self.member_set
 
     def conditionals(self) -> Iterator[Conditional]:
         for e, f in self.pairs:
@@ -152,12 +158,42 @@ _BINARY_RULES = (("CAND", rule_cand), ("OR", rule_or), ("CM", rule_cm),
                  ("CUT", rule_cut))
 
 
+def _context_index(ordered) -> dict[int, list[Pair]]:
+    """Pairs keyed by their context p0|p1, each bucket kept in the order
+    of `ordered`."""
+    index: dict[int, list[Pair]] = {}
+    for p in ordered:
+        index.setdefault(p[0] | p[1], []).append(p)
+    return index
+
+
+def _partners(name: str, p: Pair, ordered, by_context) -> Sequence[Pair]:
+    """The pairs q, in the order of `ordered`, that binary rule `name` can
+    join with p: CAND and CM need q in p's context, CUT needs q's context
+    to be p's supporting side. OR has no such key and scans them all.
+    `by_context` is `_context_index(ordered)`.
+    """
+    if name == "OR":
+        return ordered
+    return by_context.get(p[0] if name == "CUT" else p[0] | p[1], ())
+
+
 def close_p(base: ConditionalBase) -> ConditionalBase:
     """Least fixpoint of the five rules, with provenance.
 
-    Deterministic: rules fire in a fixed order over sorted snapshots, and
-    the first derivation of a pair is the one recorded. A pair with empty
-    supporting side marks the base inconsistent and ends the closure.
+    Deterministic: each round fires CAND, OR, CM, CUT and then RW, with p
+    ascending over a sorted snapshot of the pairs and q ascending among
+    its join partners, and the first derivation of a pair is the one
+    recorded. A pair with empty supporting side marks the base
+    inconsistent and ends the closure; the pairs derived so far are kept.
+
+    Rounds are semi-naive: a binary rule joins only (p, q) with p or q new
+    in the last round, and RW runs on new pairs only. Every conclusion of
+    two older pairs was derived in an earlier round, so skipping them
+    leaves each round's new pairs, their order and their recorded
+    premises as a whole-snapshot round would give them. The joins read a
+    by-context index of the snapshot and of the new pairs (see
+    `_partners`); OR, which has no key, scans new x all.
     """
     if base.closed:
         return base
@@ -167,22 +203,28 @@ def close_p(base: ConditionalBase) -> ConditionalBase:
         pairs[p] = Provenance("given", ())
         if p[0] == 0 and bad is None:
             bad = p
+    new = set(pairs)
     while bad is None:
         snapshot = sorted(pairs)
+        by_context = _context_index(snapshot)
+        delta = sorted(new)
+        delta_by_context = _context_index(delta)
         fresh: dict[Pair, Provenance] = {}
-
-        def emit(candidate: Optional[Pair], rule: str, premises: tuple) -> None:
-            if candidate is None or candidate in pairs or candidate in fresh:
-                return
-            fresh[candidate] = Provenance(rule, premises)
-
         for name, rule in _BINARY_RULES:
             for p in snapshot:
-                for q in snapshot:
-                    emit(rule(p, q), name, (p, q))
-        for p in snapshot:
+                if p in new:
+                    partners = _partners(name, p, snapshot, by_context)
+                else:
+                    partners = _partners(name, p, delta, delta_by_context)
+                for q in partners:
+                    candidate = rule(p, q)
+                    if (candidate is not None and candidate not in pairs
+                            and candidate not in fresh):
+                        fresh[candidate] = Provenance(name, (p, q))
+        for p in delta:
             for candidate in rule_rw(p):
-                emit(candidate, "RW", (p,))
+                if candidate not in pairs and candidate not in fresh:
+                    fresh[candidate] = Provenance("RW", (p,))
         if not fresh:
             break
         for candidate, prov in fresh.items():
@@ -190,6 +232,7 @@ def close_p(base: ConditionalBase) -> ConditionalBase:
             if candidate[0] == 0:
                 bad = candidate
                 break
+        new = fresh.keys()
     return ConditionalBase(
         base.space,
         tuple(sorted(pairs)),
@@ -204,7 +247,7 @@ def entails(base: ConditionalBase, query: Conditional) -> bool:
     if query.context.bits == 0:
         raise EmptyAntecedent("query antecedent has no models")
     closed = base if base.closed else close_p(base)
-    return query.pair() in set(closed.pairs)
+    return query.pair() in closed.member_set
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +275,10 @@ def _first(name: str, witnesses) -> Verdict:
     return Verdict(name, witness is None, witness)
 
 
-def _unclosed(space, members, ordered, rule) -> Iterator[tuple]:
+def _unclosed(space, members, ordered, name, rule) -> Iterator[tuple]:
+    by_context = _context_index(ordered)
     for p in ordered:
-        for q in ordered:
+        for q in _partners(name, p, ordered, by_context):
             conclusion = rule(p, q)
             if conclusion is not None and conclusion not in members:
                 yield _pair_events(space, p, q, conclusion)
@@ -256,10 +300,10 @@ def roundtrip_kb(base: ConditionalBase) -> dict[str, Verdict]:
     """
     closed = base if base.closed else close_p(base)
     space = closed.space
-    members = set(closed.pairs)
+    members = closed.member_set
     ordered = sorted(members)
     by_support: dict[int, list[Pair]] = {}
-    for p in members:
+    for p in ordered:
         by_support.setdefault(p[0], []).append(p)
 
     return {
@@ -268,7 +312,7 @@ def roundtrip_kb(base: ConditionalBase) -> dict[str, Verdict]:
         "T": _first("T", (
             _pair_events(space, (a, b), (b, c), (a, c))
             for a, b in ordered
-            for _, c in sorted(by_support.get(b, ()))
+            for _, c in by_support.get(b, ())
             if a & c == 0 and (a, c) not in members)),
         "O": _first("O", (
             _pair_events(space, (a, b), (a | x, b2))
@@ -276,7 +320,8 @@ def roundtrip_kb(base: ConditionalBase) -> dict[str, Verdict]:
             for x in submasks(b)
             for b2 in submasks(b & ~x)
             if (a | x, b2) not in members)),
-        "Ac": _first("Ac", _unclosed(space, members, ordered, rule_cand)),
+        "Ac": _first("Ac", _unclosed(space, members, ordered, "CAND",
+                                     rule_cand)),
         "CP": _first("CP", _empty_support(space, ordered)),
     }
 
@@ -288,7 +333,7 @@ def roundtrip_relation(rel: ConfidenceRelation) -> dict[str, Verdict]:
     members = strict_disjoint_pairs(rel)
     ordered = sorted(members)
     verdicts = {
-        name: _first(name, _unclosed(space, members, ordered, rule))
+        name: _first(name, _unclosed(space, members, ordered, name, rule))
         for name, rule in _BINARY_RULES
     }
     verdicts["RW"] = _first("RW", (

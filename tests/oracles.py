@@ -149,3 +149,135 @@ def linear_acceptance_rows(n_events):
         if naive_ac(rows):
             found.append(rows)
     return found
+
+
+def _context(p):
+    return p[0] | p[1]
+
+
+def _ascending_submasks(mask):
+    return [x for x in range(mask + 1) if x & ~mask == 0]
+
+
+# the four binary rules in firing order, each giving its conclusion or
+# None when the premises do not fit
+PAIR_RULES = (
+    ("CAND", lambda p, q: (p[0] & q[0], p[1] | q[1])
+     if _context(p) == _context(q) else None),
+    ("OR", lambda p, q: (p[0] | q[0], p[1] | q[1])
+     if not (p[0] & q[1]) and not (q[0] & p[1]) else None),
+    ("CM", lambda p, q: (p[0] & q[0], p[0] & q[1])
+     if _context(p) == _context(q) else None),
+    ("CUT", lambda p, q: (q[0], p[1] | q[1])
+     if _context(q) == p[0] else None),
+)
+
+
+def reference_close_p(pairs):
+    """The preferential closure as a rule-major, whole-snapshot loop.
+
+    Each round fires CAND, OR, CM and CUT over every (p, q) of the sorted
+    snapshot, p outer and q inner, then RW on every p; a pair is recorded
+    with the first rule and premises that give it. Once a round is done
+    its new pairs join in the order they were found, and a pair with an
+    empty supporting side stops the closure right after it joins.
+    Returns (provenance, contradiction): provenance maps each pair, in
+    insertion order, to (rule, premises).
+    """
+    provenance = {}
+    bad = None
+    for p in sorted(set(pairs)):
+        provenance[p] = ("given", ())
+        if p[0] == 0 and bad is None:
+            bad = p
+    while bad is None:
+        snapshot = sorted(provenance)
+        fresh = {}
+        for rule, conclude in PAIR_RULES:
+            for p in snapshot:
+                for q in snapshot:
+                    conclusion = conclude(p, q)
+                    if (conclusion is not None and conclusion not in provenance
+                            and conclusion not in fresh):
+                        fresh[conclusion] = (rule, (p, q))
+        for p in snapshot:
+            for x in _ascending_submasks(p[1])[1:]:
+                conclusion = (p[0] | x, p[1] & ~x)
+                if conclusion not in provenance and conclusion not in fresh:
+                    fresh[conclusion] = ("RW", (p,))
+        if not fresh:
+            break
+        for pair, step in fresh.items():
+            provenance[pair] = step
+            if pair[0] == 0:
+                bad = pair
+                break
+    return provenance, bad
+
+
+def reference_derivation(provenance, pair):
+    """Premise-first replay of a pair: each premise chain in turn, then
+    the pair, every pair listed once."""
+    steps = []
+    seen = set()
+
+    def walk(p):
+        if p in seen:
+            return
+        seen.add(p)
+        for parent in provenance[p][1]:
+            walk(parent)
+        steps.append((p, provenance[p]))
+
+    walk(pair)
+    return steps
+
+
+def _unclosed_pairs(members, ordered, conclude):
+    for p in ordered:
+        for q in ordered:
+            conclusion = conclude(p, q)
+            if conclusion is not None and conclusion not in members:
+                yield p, q, conclusion
+
+
+def reference_roundtrip_kb(pairs):
+    """First witness of each roundtrip_kb check, as pairs of masks, or
+    None when the check holds; every scan runs over all pairs."""
+    members = set(pairs)
+    ordered = sorted(members)
+    found = {
+        "IR": (((e, f),) for e, f in ordered if e == f),
+        "T": (((a, b), (b2, c), (a, c))
+              for a, b in ordered for b2, c in ordered
+              if b2 == b and a & c == 0 and (a, c) not in members),
+        "O": (((a, b), (a | x, b2))
+              for a, b in ordered
+              for x in _ascending_submasks(b)
+              for b2 in _ascending_submasks(b & ~x)
+              if (a | x, b2) not in members),
+        "Ac": _unclosed_pairs(members, ordered, PAIR_RULES[0][1]),
+        "CP": (((e, f),) for e, f in ordered if e == 0),
+    }
+    return {name: next(witnesses, None) for name, witnesses in found.items()}
+
+
+def reference_roundtrip_relation(rows):
+    """First witness of each roundtrip_relation check on a weak matrix,
+    as pairs of masks, or None when the check holds."""
+    size = len(rows)
+    members = {
+        (a, b) for a in range(size) for b in range(size)
+        if a & b == 0 and strict_holds(rows, a, b)
+    }
+    ordered = sorted(members)
+    found = {
+        rule: _unclosed_pairs(members, ordered, conclude)
+        for rule, conclude in PAIR_RULES
+    }
+    found["RW"] = ((p, (p[0] | x, p[1] & ~x))
+                   for p in ordered
+                   for x in _ascending_submasks(p[1])[1:]
+                   if (p[0] | x, p[1] & ~x) not in members)
+    found["CP"] = (((e, f),) for e, f in ordered if e == 0)
+    return {name: next(witnesses, None) for name, witnesses in found.items()}

@@ -301,6 +301,8 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
         ("check-axioms", {"states": ["a", "b"], "pairs": [5]}, "pairs"),
         ("check-axioms", {"states": [1, 2], "pairs": []}, "states"),
         ("check-axioms", {"states": "ab", "pairs": []}, "states"),
+        ("check-axioms", {"states": ["a", "b"], "pairs": [["ab", "b"]]},
+         "pairs"),
         ("check-axioms", ["states"], "JSON object"),
         ("classify-measure",
          {"states": ["a", "b"], "type": "mass", "values": ["1"]}, "values"),
@@ -308,6 +310,8 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
         ("close-kb", {"atoms": "ab", "rules": []}, "atoms"),
         ("close-kb", {"states": ["w"], "atoms": ["a"], "labels": 5,
                       "rules": []}, "labels"),
+        ("close-kb", {"states": [f"w{i}" for i in range(14)], "atoms": ["a"],
+                      "rules": []}, "cap"),
         ("close-kb", {"atoms": ["a"],
                       "rules": [{"if": "!" * 5000 + "a", "then": "a"}]},
          "nested"),

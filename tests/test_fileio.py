@@ -68,6 +68,11 @@ def test_max_states_guard_applies():
     with pytest.raises(TooLarge):
         load_relation(doc)
     assert load_relation(doc, max_states=13).space.n == 13
+    kb = {"states": names, "atoms": ["a"], "labels": {"s1": ["a"]},
+          "rules": [{"if": "a", "then": "!a"}]}
+    with pytest.raises(TooLarge):
+        load_kb(kb)
+    assert load_kb(kb, max_states=13)[0].space.n == 13
 
 
 def test_measure_roundtrips(s3):
@@ -105,6 +110,8 @@ def test_mass_values_use_comma_joined_names(s3):
     m = load_measure(doc)
     assert m.focal_masks() == (1, 6)
     assert dump_measure(m)["values"] == {"s1": "2/5", "s2,s3": "3/5"}
+    doc["values"] = {" s1": "2/5", "s2 , s3": "3/5"}
+    assert load_measure(doc) == m
 
 
 def test_kb_roundtrip_over_atoms(penguin_doc):

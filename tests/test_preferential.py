@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from confrel import (
@@ -5,6 +7,7 @@ from confrel import (
     Conditional,
     ConfidenceRelation,
     EmptyAntecedent,
+    LabelledSpace,
     ReflexiveAssertion,
     close_p,
     conditional_from_formulas,
@@ -15,7 +18,13 @@ from confrel import (
     strict_disjoint_pairs,
 )
 from confrel.preferential import rule_cand, rule_cm, rule_cut, rule_or, rule_rw
-from oracles import naive_close_pairs
+from oracles import (
+    naive_close_pairs,
+    reference_close_p,
+    reference_derivation,
+    reference_roundtrip_kb,
+    reference_roundtrip_relation,
+)
 
 
 def penguin_base():
@@ -113,6 +122,105 @@ def test_contradictory_base_is_flagged():
     assert closed.contradiction[0] == 0
     # entailment on an inconsistent base stays plain membership
     assert entails(closed, conditional_from_formulas(u, "b", "a"))
+
+
+def _random_pair(rng, full):
+    """A disjoint pair with a non-empty supporting side."""
+    context = rng.randint(1, full)
+    supporting = rng.randint(1, full) & context or context & -context
+    return supporting, context & ~supporting
+
+
+def _rival(rng, full, pair):
+    """A pair whose supporting side lies in the violating side of `pair`,
+    which often makes the base inconsistent a few rounds in."""
+    e, f = pair
+    x = rng.randint(1, full) & f or f or e
+    return x, rng.randint(0, full) & ~x
+
+
+def _random_literal(rng, atoms):
+    return rng.choice(("", "!")) + rng.choice(atoms)
+
+
+def seeded_bases(count, seed=1990):
+    """Seeded bases: random event pairs over 2 atoms, 2 pairs over 3
+    atoms for one base in eight (their closures cost the most), and
+    literal rules over labelled spaces of 3 to 6 states. Half the atom
+    bases pair their first rule with a rival."""
+    rng = random.Random(seed)
+    bases = []
+    while len(bases) < count:
+        if len(bases) % 8 == 0 or len(bases) % 2:
+            three = len(bases) % 8 == 0
+            space = AtomUniverse(["a", "b", "c"] if three else ["a", "b"]).space
+            full = space.full_mask
+            pairs = [_random_pair(rng, full)
+                     for _ in range(1 if three else rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                pairs.append(_rival(rng, full, pairs[0]))
+            elif three:
+                pairs.append(_random_pair(rng, full))
+            bases.append(make_base(space, pairs))
+            continue
+        states = [f"w{i}" for i in range(rng.randint(3, 6))]
+        atoms = ["a", "b", "c"]
+        labels = {s: [a for a in atoms if rng.random() < 0.5] for s in states}
+        universe = LabelledSpace(states, atoms, labels)
+        conds = []
+        for _ in range(rng.randint(1, 3)):
+            try:
+                conds.append(conditional_from_formulas(
+                    universe, _random_literal(rng, atoms),
+                    _random_literal(rng, atoms)))
+            except (EmptyAntecedent, ReflexiveAssertion):
+                pass
+        if conds:
+            bases.append(make_base(universe.space, conds))
+    return bases
+
+
+def _steps(chain):
+    return [(pair, (prov.rule, prov.premises)) for pair, prov in chain]
+
+
+def test_close_p_matches_whole_snapshot_reference():
+    outcomes = {"consistent": 0, "given": 0, "derived": 0}
+    for base in seeded_bases(240):
+        closed = close_p(base)
+        provenance, bad = reference_close_p(base.pairs)
+        assert closed.pairs == tuple(sorted(provenance))
+        assert _steps(closed.provenance.items()) == list(provenance.items())
+        assert closed.consistent == (bad is None)
+        assert closed.contradiction == bad
+        for pair in closed.pairs:
+            assert _steps(closed.derivation(pair)) == reference_derivation(
+                provenance, pair)
+        outcomes["consistent" if closed.consistent
+                 else "given" if bad in base.pairs else "derived"] += 1
+    # every outcome, partial closures included, is well represented
+    assert min(outcomes.values()) >= 25
+
+
+def _masks(witness):
+    return None if witness is None else tuple(
+        (e.bits, f.bits) for e, f in witness)
+
+
+def test_roundtrip_matches_all_pairs_reference(s3):
+    for base in seeded_bases(60, seed=7):
+        closed = close_p(base)
+        expected = reference_roundtrip_kb(closed.pairs)
+        verdicts = roundtrip_check(closed)
+        assert {k: _masks(v.witness) for k, v in verdicts.items()} == expected
+        assert all(v.holds == (expected[k] is None)
+                   for k, v in verdicts.items())
+    rng = random.Random(3)
+    for _ in range(40):
+        rows = tuple(rng.randint(0, 255) | 1 << a for a in range(8))
+        verdicts = roundtrip_check(ConfidenceRelation(s3, rows))
+        expected = reference_roundtrip_relation(rows)
+        assert {k: _masks(v.witness) for k, v in verdicts.items()} == expected
 
 
 # -- individual rules --------------------------------------------------------
