@@ -63,13 +63,17 @@ class StateSpace:
     def event(self, names) -> "Event":
         """The event of the named states. A string is refused rather than
         read one character per name."""
+        return Event(self, self._mask(names))
+
+    def _mask(self, names) -> int:
+        """The bitmask of the named states, refusing a string as event."""
         if isinstance(names, str):
             raise TypeError("an event takes a collection of state names, "
                             f"not the string {names!r}")
         bits = 0
         for name in names:
             bits |= 1 << self.index(name)
-        return Event(self, bits)
+        return bits
 
     def event_from_bits(self, bits: int) -> "Event":
         return Event(self, bits)

@@ -54,11 +54,11 @@ def _names(doc: dict, key: str, where: str) -> list[str]:
 
 
 def _event_pairs(space: StateSpace, pairs, field: str) -> list:
-    # reading checks the shape: an entry that is not a pair of name
-    # lists fails inside the comprehension, at no cost to a good file
+    # (mask, mask) pairs; reading checks the shape: an entry that is not a
+    # pair of name lists fails inside the comprehension, at no cost
     try:
         if isinstance(pairs, list):
-            return [(space.event(a), space.event(b)) for a, b in pairs]
+            return [(space._mask(a), space._mask(b)) for a, b in pairs]
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{field} must list pairs of events, each a list of "
@@ -69,10 +69,6 @@ def load_event(space: StateSpace, names) -> Event:
     return space.event(names)
 
 
-def event_names(event: Event) -> list[str]:
-    return list(event.names())
-
-
 # -- relations --------------------------------------------------------------
 
 def load_relation(source: Source, max_states=None) -> ConfidenceRelation:
@@ -80,17 +76,20 @@ def load_relation(source: Source, max_states=None) -> ConfidenceRelation:
     space = _space(doc, "relation", max_states)
     pairs = _event_pairs(space, _need(doc, "pairs", "relation"),
                          "relation 'pairs'")
-    if doc.get("strict_only", False):
+    strict_only = doc.get("strict_only", False)
+    if not isinstance(strict_only, bool):
+        raise ValueError("relation 'strict_only' must be true or false")
+    if strict_only:
         return lift_strict(space, close_strict_pairs(space, pairs))
     return ConfidenceRelation.from_weak_pairs(space, pairs)
 
 
 def dump_relation(rel: ConfidenceRelation) -> dict:
-    pairs = [
-        [event_names(a), event_names(b)]
-        for a, b in rel.weak_pairs()
-    ]
-    return {"states": list(rel.space.states), "pairs": pairs}
+    space = rel.space
+    names = [list(space.names_of(m)) for m in range(space.size)]
+    pairs = [[names[a], names[b]] for a, row in enumerate(rel.rows)
+             for b in range(space.size) if row >> b & 1]
+    return {"states": list(space.states), "pairs": pairs}
 
 
 # -- measures ---------------------------------------------------------------

@@ -140,6 +140,52 @@ def _inclusion_rows(n: int) -> list[int]:
     return rows
 
 
+def _transpose(rows: list[int]) -> list[int]:
+    """The bit matrix with bit a of row b set iff bit b of rows[a] is."""
+    cols = [0] * len(rows)
+    for a, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << a
+            row ^= low
+    return cols
+
+
+def _transitive_close(rows: list[int]) -> None:
+    """Transitive closure of bit rows, in place. Rows close in index
+    order, so a row already closed brings all that it reaches at once."""
+    for a in range(len(rows)):
+        row = rows[a]
+        done = 1 << a
+        todo = row & ~done
+        while todo:
+            low = todo & -todo
+            b = low.bit_length() - 1
+            row |= rows[b]
+            done |= low | rows[b] if b < a else low
+            todo = row & ~done
+        rows[a] = row
+
+
+def _grow_orientation(strict: list[int], inclusion: list[int]) -> None:
+    """O axiom in place on a strict matrix kept per right side (bit a of
+    strict[b] means a > b): per state i, each row gains its left sides
+    with i added (shift-or over the events lacking i, a row of the
+    _inclusion_rows) and is ORed into the row of its right side minus i."""
+    size = len(strict)
+    bit = 1
+    while bit < size:
+        lacking = inclusion[(size - 1) ^ bit]
+        for b in range(size):
+            row = strict[b]
+            if row:
+                row |= (row & lacking) << bit
+                strict[b] = row
+                if b & bit:
+                    strict[b ^ bit] |= row
+        bit <<= 1
+
+
 # ---------------------------------------------------------------------------
 # axiom checkers
 
@@ -423,23 +469,18 @@ def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]
     """Least superset of the pairs closed under transitivity and the O
     axiom (growing the left side, shrinking the right side); the result
     is what lift_strict can accept, unless the seeds force a cycle."""
-    full = space.full_mask
-    pairs = {(_bits(a), _bits(b)) for a, b in seed_pairs}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(pairs):
-            for sup in submasks(full & ~a):
-                for b2 in submasks(b):
-                    if (a | sup, b2) not in pairs:
-                        pairs.add((a | sup, b2))
-                        changed = True
-        for a, b in list(pairs):
-            for b2, c in list(pairs):
-                if b2 == b and (a, c) not in pairs:
-                    pairs.add((a, c))
-                    changed = True
-    return {(Event(space, a), Event(space, b)) for a, b in pairs}
+    inclusion = _inclusion_rows(space.n)
+    strict = [0] * space.size
+    for a, b in seed_pairs:
+        strict[_bits(b)] |= 1 << _bits(a)
+    before = None
+    while strict != before:
+        before = list(strict)
+        _grow_orientation(strict, inclusion)
+        _transitive_close(strict)
+    return {(Event(space, a), Event(space, b))
+            for b, row in enumerate(strict)
+            for a in range(space.size) if row >> a & 1}
 
 
 def strict_order_from_chain(space: StateSpace, chain) -> set[tuple[Event, Event]]:

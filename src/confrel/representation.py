@@ -3,10 +3,11 @@
 A constrained relation carries the usual weak matrix plus a matrix of
 forbidden weak edges; forbidding the reverse edge of a weak one is what
 makes a strict preference a durable commitment that closure steps can
-build on. Closing applies monotony, transitivity and the acceptance
-axiom to a fixpoint; a step that needs an edge that is forbidden (or
-must forbid an edge already present) yields a Contradiction value
-carrying the colliding pair.
+build on. Closing works on bit rows in passes: transitivity on the weak
+rows, orientation growth (O) on the committed strict pairs by shift-or
+passes over the subset lattice, and the acceptance axiom on disjoint
+triples, until a pass changes nothing. A pass that leaves an edge both
+weak and forbidden yields a Contradiction value carrying that pair.
 
 Decomposition branches on the first incomparable pair, committing each
 orientation in turn and discarding contradictory branches; surviving
@@ -19,13 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import DECOMPOSE_MAX, Event, StateSpace, _triple_masks, submasks
+from .core import DECOMPOSE_MAX, Event, StateSpace, _triple_masks
 from .errors import NotAcceptance, SharedEquivalenceViolated, TooLarge
-from .relations import ConfidenceRelation, _inclusion_rows, is_acceptance_preorder
+from .relations import (ConfidenceRelation, _grow_orientation, _inclusion_rows,
+                        _transitive_close, _transpose, is_acceptance_preorder)
 
 
 @dataclass(frozen=True)
 class Contradiction:
+    """pair is (A, B) for an edge A >= B both weak and forbidden: from
+    ac_close the first in bitmask order when the closing pass ends, from
+    commit_strict's own commitment the edge it would put on both sides."""
+
     pair: tuple[Event, Event]
 
 
@@ -39,23 +45,14 @@ class ConstrainedRelation:
         if any(r & f for r, f in zip(self.rows, self.forbidden)):
             raise ValueError("a weak edge cannot also be forbidden")
 
-    def relation(self) -> ConfidenceRelation:
-        return ConfidenceRelation(self.space, self.rows)
-
     def committed_strict(self, x: int, y: int) -> bool:
         return bool(self.rows[x] >> y & 1) and bool(self.forbidden[y] >> x & 1)
-
-    def is_complete(self) -> bool:
-        return self.relation().is_complete()
 
 
 def constrain(rel: ConfidenceRelation) -> ConstrainedRelation:
     """Wrap a relation, committing every strict preference it already has."""
-    forbidden = [0] * rel.space.size
-    for a in range(rel.space.size):
-        for b in range(rel.space.size):
-            if rel.s(a, b):
-                forbidden[b] |= 1 << a
+    # a > b forbids b >= a: bit a of forbidden[b] is a >= b without b >= a
+    forbidden = (c & ~r for c, r in zip(_transpose(rel.rows), rel.rows))
     return ConstrainedRelation(rel.space, rel.rows, tuple(forbidden))
 
 
@@ -73,81 +70,45 @@ def _commit(rows, forbidden, x: int, y: int) -> Optional[tuple[int, int]]:
 
 def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradiction]:
     """Close under monotony, transitivity, orientation growth for committed
-    strict pairs, and the acceptance axiom; fixpoint or Contradiction."""
+    strict pairs, and the acceptance axiom; fixpoint or Contradiction.
+
+    The inclusion edges (monotony) go in once. Each pass then closes the
+    weak rows under transitivity, grows the committed part of forbidden
+    (bit x of forbidden[y] with x >= y weak: x > y) under O, and commits
+    a > b|c for each disjoint triple with a|b > c and a|c > b committed.
+    Passes repeat until nothing changes; one clash check ends each pass.
+    """
     space = cr.space
-    n = space.size
-    full = space.full_mask
-    rows = list(cr.rows)
+    inclusion = _inclusion_rows(space.n)
+    rows = [r | i for r, i in zip(cr.rows, inclusion)]
     forbidden = list(cr.forbidden)
-
-    required = _inclusion_rows(space.n)
-
-    def clash(pair) -> Contradiction:
-        return Contradiction((Event(space, pair[0]), Event(space, pair[1])))
-
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            missing = required[a] & ~rows[a]
-            if missing:
-                if missing & forbidden[a]:
-                    bad = missing & forbidden[a]
-                    return clash((a, (bad & -bad).bit_length() - 1))
-                rows[a] |= missing
-                changed = True
-        stable = False
-        while not stable:
-            stable = True
-            for a in range(n):
-                row = rows[a]
-                acc = row
-                r = row
-                while r:
-                    b = (r & -r).bit_length() - 1
-                    acc |= rows[b]
-                    r &= r - 1
-                new = acc & ~row
-                if new:
-                    if new & forbidden[a]:
-                        bad = new & forbidden[a]
-                        return clash((a, (bad & -bad).bit_length() - 1))
-                    rows[a] = acc
-                    stable = False
-                    changed = True
-        committed = [
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if rows[x] >> y & 1 and forbidden[y] >> x & 1
-        ]
-        for x, y in committed:
-            for sup in submasks(full & ~x):
-                x2 = x | sup
-                for y2 in submasks(y):
-                    if rows[x2] >> y2 & 1 and forbidden[y2] >> x2 & 1:
-                        continue
-                    pair = _commit(rows, forbidden, x2, y2)
-                    if pair is not None:
-                        return clash(pair)
-                    changed = True
-        strict = set(committed)
-        for a, b, c in _triple_masks(full):
-            if (a | b, c) in strict and (a | c, b) in strict:
-                if (a, b | c) in strict:
-                    continue
-                pair = _commit(rows, forbidden, a, b | c)
-                if pair is not None:
-                    return clash(pair)
-                changed = True
+    before = None
+    while rows + forbidden != before:
+        before = rows + forbidden
+        _transitive_close(rows)
+        # O grows only the forbidden reverse edges: the weak edge under
+        # a grown x' > y' follows from monotony and transitivity
+        committed = [f & w for f, w in zip(forbidden, _transpose(rows))]
+        _grow_orientation(committed, inclusion)
+        forbidden = [f | c for f, c in zip(forbidden, committed)]
+        for a, b, c in _triple_masks(space.full_mask):
+            ab, ac = a | b, a | c
+            if (forbidden[c] >> ab & 1 and rows[ab] >> c & 1
+                    and forbidden[b] >> ac & 1 and rows[ac] >> b & 1):
+                forbidden[b | c] |= 1 << a
+                rows[a] |= 1 << (b | c)
+        for a, row in enumerate(rows):
+            bad = row & forbidden[a]
+            if bad:
+                b = (bad & -bad).bit_length() - 1
+                return Contradiction((Event(space, a), Event(space, b)))
     return ConstrainedRelation(space, tuple(rows), tuple(forbidden))
 
 
 def commit_strict(cr: ConstrainedRelation, a: Event, b: Event
                   ) -> Union[ConstrainedRelation, Contradiction]:
     """One strict commitment followed by a full closure."""
-    rows = list(cr.rows)
-    forbidden = list(cr.forbidden)
+    rows, forbidden = list(cr.rows), list(cr.forbidden)
     pair = _commit(rows, forbidden, a.bits, b.bits)
     if pair is not None:
         return Contradiction((Event(cr.space, pair[0]), Event(cr.space, pair[1])))
@@ -187,6 +148,11 @@ def decompose(rel: ConfidenceRelation, mode: str = "all",
     The result is deduplicated and sorted. Members are re-verified:
     complete, still an acceptance preorder, and no equivalences beyond the
     original's.
+
+    mode "maximal" keeps the members whose strict part no other member's
+    properly contains. That is every member: all are complete with the
+    original's equivalences, so all have the same number of strict pairs,
+    and "maximal" returns the same family as "all".
     """
     if mode not in ("all", "maximal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -226,19 +192,6 @@ def decompose(rel: ConfidenceRelation, mode: str = "all",
         if _equivalence_pairs(rows) != base_equiv:
             raise AssertionError("completion changed the equivalences")
         relations.append(member)
-
-    if mode == "maximal":
-        stricts = [
-            {(a, b) for a in range(space.size) for b in range(space.size)
-             if m.s(a, b)}
-            for m in relations
-        ]
-        keep = [
-            i
-            for i, si in enumerate(stricts)
-            if not any(j != i and sj > si for j, sj in enumerate(stricts))
-        ]
-        relations = [relations[i] for i in keep]
     return Family(space, tuple(relations))
 
 

@@ -281,3 +281,111 @@ def reference_roundtrip_relation(rows):
                    if (p[0] | x, p[1] & ~x) not in members)
     found["CP"] = (((e, f),) for e, f in ordered if e == 0)
     return {name: next(witnesses, None) for name, witnesses in found.items()}
+
+
+def _disjoint_triples(subs):
+    # subs[m] lists the submasks of m in ascending order
+    full = len(subs) - 1
+    for a in range(full + 1):
+        for b in subs[full & ~a]:
+            for c in subs[full & ~a & ~b]:
+                yield a, b, c
+
+
+def reference_ac_close(rows, forbidden, n):
+    """Closure of a constrained relation one item at a time: monotony,
+    transitivity sweeps, orientation growth of each committed pair over
+    every superset and subset, then the acceptance axiom on a committed
+    set taken before that growth. Returns (rows, forbidden, None) at the
+    fixpoint, or (None, None, pair) for the first edge found both weak
+    and forbidden, in this loop's order."""
+    size = 1 << n
+    full = size - 1
+    rows = list(rows)
+    forbidden = list(forbidden)
+    subs = [_ascending_submasks(m) for m in range(size)]
+
+    def commit(x, y):
+        # forbid y >= x, then require x >= y
+        if rows[y] >> x & 1:
+            return (y, x)
+        forbidden[y] |= 1 << x
+        if forbidden[x] >> y & 1:
+            return (x, y)
+        rows[x] |= 1 << y
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        for a in range(size):
+            for b in subs[a]:
+                if not rows[a] >> b & 1:
+                    if forbidden[a] >> b & 1:
+                        return None, None, (a, b)
+                    rows[a] |= 1 << b
+                    changed = True
+        stable = False
+        while not stable:
+            stable = True
+            for a in range(size):
+                reach = rows[a]
+                for b in range(size):
+                    if rows[a] >> b & 1:
+                        reach |= rows[b]
+                new = reach & ~rows[a]
+                if new:
+                    if new & forbidden[a]:
+                        bad = new & forbidden[a]
+                        return None, None, (a, (bad & -bad).bit_length() - 1)
+                    rows[a] = reach
+                    stable = False
+                    changed = True
+        committed = [(x, y) for x in range(size) for y in range(size)
+                     if rows[x] >> y & 1 and forbidden[y] >> x & 1]
+        for x, y in committed:
+            for sup in subs[full & ~x]:
+                for y2 in subs[y]:
+                    x2 = x | sup
+                    if rows[x2] >> y2 & 1 and forbidden[y2] >> x2 & 1:
+                        continue
+                    pair = commit(x2, y2)
+                    if pair is not None:
+                        return None, None, pair
+                    changed = True
+        strict = set(committed)
+        for a, b, c in _disjoint_triples(subs):
+            if ((a | b, c) in strict and (a | c, b) in strict
+                    and (a, b | c) not in strict):
+                pair = commit(a, b | c)
+                if pair is not None:
+                    return None, None, pair
+                changed = True
+    return tuple(rows), tuple(forbidden), None
+
+
+def reference_close_strict_pairs(seed_pairs, n):
+    """Least set of mask pairs holding the seeds, closed under the O axiom
+    (every superset on the left, every subset on the right) and under
+    transitivity, as a set of tuples grown until a sweep adds nothing."""
+    full = (1 << n) - 1
+    subs = [_ascending_submasks(m) for m in range(full + 1)]
+    pairs = set(seed_pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(pairs):
+            for sup in subs[full & ~a]:
+                for b2 in subs[b]:
+                    if (a | sup, b2) not in pairs:
+                        pairs.add((a | sup, b2))
+                        changed = True
+        below = {}
+        for b, c in pairs:
+            below.setdefault(b, []).append(c)
+        for a, b in list(pairs):
+            for c in below.get(b, ()):
+                if (a, c) not in pairs:
+                    pairs.add((a, c))
+                    changed = True
+    return pairs

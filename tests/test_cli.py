@@ -304,6 +304,10 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
         ("check-axioms", {"states": ["a", "b"], "pairs": [["ab", "b"]]},
          "pairs"),
         ("check-axioms", ["states"], "JSON object"),
+        ("check-axioms", {"states": ["a", "b"], "pairs": [[["a"], ["b"]]],
+                          "strict_only": "false"}, "strict_only"),
+        ("check-axioms", {"states": ["a", "b"], "pairs": [[["a"], ["b"]]],
+                          "strict_only": 1}, "strict_only"),
         ("classify-measure",
          {"states": ["a", "b"], "type": "mass", "values": ["1"]}, "values"),
         ("close-kb", {"atoms": ["a"], "rules": [5]}, "rules"),
