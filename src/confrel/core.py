@@ -61,15 +61,16 @@ class StateSpace:
             raise KeyError(f"no state named {name!r}") from None
 
     def event(self, names) -> "Event":
-        """The event of the named states. A string is refused rather than
-        read one character per name."""
+        """The event of the named states. A string or a mapping is refused
+        rather than read one character or one key per name."""
         return Event(self, self._mask(names))
 
     def _mask(self, names) -> int:
-        """The bitmask of the named states, refusing a string as event."""
-        if isinstance(names, str):
+        """The bitmask of the named states, refusing a string or a mapping
+        as event."""
+        if isinstance(names, (str, dict)):
             raise TypeError("an event takes a collection of state names, "
-                            f"not the string {names!r}")
+                            f"not {names!r}")
         bits = 0
         for name in names:
             bits |= 1 << self.index(name)

@@ -414,7 +414,7 @@ class CtPlausibility:
     via: str
 
 
-def _matches_ranked_singletons(n, full, focal) -> bool:
+def _matches_ranked_singletons(focal) -> bool:
     # singleton focals strictly ranked, every one outweighing all smaller
     # singletons plus every non singleton focal it does not intersect;
     # non singleton focals must form a nested chain
@@ -438,7 +438,7 @@ def _matches_ranked_singletons(n, full, focal) -> bool:
     return True
 
 
-def _matches_kernel_satellites(n, full, focal) -> bool:
+def _matches_kernel_satellites(focal) -> bool:
     # one minimal focal K; every other focal adds exactly one fresh state
     # to K, with steeply decreasing masses over those satellites
     fsets = sorted(focal)
@@ -467,15 +467,14 @@ def recognize_ct_plausibility(measure: Measure) -> CtPlausibility:
     tried first; anything else falls back to the exhaustive check."""
     _require(measure, MASS)
     n = measure.space.n
-    full = measure.space.full_mask
     _, weights = _int_weights(measure)
     focal = dict(weights)
     holds = brute_force_ct(_pl_int(n, weights))
     via = "brute_force"
     if holds:
-        if _matches_ranked_singletons(n, full, focal):
+        if _matches_ranked_singletons(focal):
             via = "example1"
-        elif _matches_kernel_satellites(n, full, focal):
+        elif _matches_kernel_satellites(focal):
             via = "example2"
     return CtPlausibility(holds, via)
 

@@ -13,7 +13,9 @@ re-evaluated directly against the relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
+from operator import and_
 from typing import Iterator, Optional
 
 from .core import Event, StateSpace, _bits, _triple_masks, submasks
@@ -263,57 +265,66 @@ def _check_cp(rel):
     return Verdict("CP", True)
 
 
+def _accepted(rel, c: int) -> list[int]:
+    """The events accepted in context c, ascending: those a whose part
+    inside c is strictly above the part of its complement inside c."""
+    full = rel.space.full_mask
+    return [a for a in range(rel.space.size) if rel.s(a & c, full & ~a & c)]
+
+
+def _superset_gap(acc: list[int], full: int) -> Optional[tuple[int, int]]:
+    """First (a, b): a accepted, b a superset of a that is not."""
+    members = set(acc)
+    for a in acc:
+        for sup in submasks(full & ~a):
+            if a | sup not in members:
+                return a, a | sup
+    return None
+
+
+def _intersection_gap(acc: list[int]) -> Optional[tuple[int, int]]:
+    """First (a, b): both accepted, their intersection not."""
+    members = set(acc)
+    for a in acc:
+        for b in acc:
+            if a & b not in members:
+                return a, b
+    return None
+
+
+def _context_gap(rel, gap) -> Optional[tuple[int, int, int]]:
+    """First (c, a, b): a gap found in the accepted set of context c."""
+    for c in range(rel.space.size):
+        found = gap(_accepted(rel, c))
+        if found:
+            return (c, *found)
+    return None
+
+
+def _gap_verdict(rel, axiom, found):
+    if found is None:
+        return Verdict(axiom, True)
+    return Verdict(axiom, False, _ev(rel.space, *found))
+
+
 def _check_cs(rel):
     full = rel.space.full_mask
-    for a in range(rel.space.size):
-        if not rel.s(a, full & ~a):
-            continue
-        for sup in submasks(full & ~a):
-            b = a | sup
-            if not rel.s(b, full & ~b):
-                return Verdict("CS", False, _ev(rel.space, a, b))
-    return Verdict("CS", True)
+    return _gap_verdict(rel, "CS", _superset_gap(_accepted(rel, full), full))
 
 
 def _check_and(rel):
-    full = rel.space.full_mask
-    n = rel.space.size
-    for a in range(n):
-        if not rel.s(a, full & ~a):
-            continue
-        for b in range(n):
-            if rel.s(b, full & ~b) and not rel.s(a & b, full & ~(a & b)):
-                return Verdict("AND", False, _ev(rel.space, a, b))
-    return Verdict("AND", True)
+    acc = _accepted(rel, rel.space.full_mask)
+    return _gap_verdict(rel, "AND", _intersection_gap(acc))
 
 
 def _check_ccs(rel):
     full = rel.space.full_mask
-    for c in range(rel.space.size):
-        for a in range(rel.space.size):
-            if not rel.s(a & c, (full & ~a) & c):
-                continue
-            for sup in submasks(full & ~a):
-                b = a | sup
-                if not rel.s(b & c, (full & ~b) & c):
-                    return Verdict("CCS", False, _ev(rel.space, c, a, b))
-    return Verdict("CCS", True)
+    found = _context_gap(rel, lambda acc: _superset_gap(acc, full))
+    return _gap_verdict(rel, "CCS", found)
 
 
 def _check_cand(rel):
-    full = rel.space.full_mask
-    n = rel.space.size
-    for c in range(n):
-        for a in range(n):
-            if not rel.s(a & c, (full & ~a) & c):
-                continue
-            for b in range(n):
-                if not rel.s(b & c, (full & ~b) & c):
-                    continue
-                ab = a & b
-                if not rel.s(ab & c, (full & ~ab) & c):
-                    return Verdict("CAND", False, _ev(rel.space, c, a, b))
-    return Verdict("CAND", True)
+    return _gap_verdict(rel, "CAND", _context_gap(rel, _intersection_gap))
 
 
 def _additivity_domain(space):
@@ -438,30 +449,40 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
     The input is checked as given (irreflexive, transitive, O, the
     acceptance axiom on disjoint triples); no closure is applied first.
     """
-    pairs = {(_bits(a), _bits(b)) for a, b in strict_pairs}
-    ordered = sorted(pairs)
-
     full = space.full_mask
-    for a, b in ordered:
-        if a == b:
-            raise StrictAxiomViolation("IR", _ev(space, a))
-    for a, b in ordered:
-        for b2, c in ordered:
-            if b2 == b and (a, c) not in pairs:
-                raise StrictAxiomViolation("T", _ev(space, a, b, c))
-    for a, b in ordered:
-        for sup in submasks(full & ~a):
-            a2 = a | sup
-            for b2 in submasks(b):
-                if (a2, b2) not in pairs:
-                    raise StrictAxiomViolation("O", _ev(space, a, a2, b, b2))
-    for a, b, c in _triple_masks(full):
-        if (a | b, c) in pairs and (a | c, b) in pairs and (a, b | c) not in pairs:
-            raise StrictAxiomViolation("Ac", _ev(space, a, b, c))
+    strict = [0] * space.size  # bit b of strict[a]: a > b
+    for a, b in strict_pairs:
+        strict[_bits(a)] |= 1 << _bits(b)
 
+    for a, row in enumerate(strict):
+        if row >> a & 1:
+            raise StrictAxiomViolation("IR", _ev(space, a))
+    transitive = _check_t(ConfidenceRelation(space, tuple(strict)))
+    if not transitive:
+        raise StrictAxiomViolation("T", transitive.witness)
     rows = _inclusion_rows(space.n)
-    for a, b in pairs:
-        rows[a] |= 1 << b
+    for a, row in enumerate(strict):
+        while row:
+            b = (row & -row).bit_length() - 1
+            row &= row - 1
+            for sup in submasks(full & ~a):
+                missing = rows[b] & ~strict[a | sup]
+                if missing:
+                    b2 = (missing & -missing).bit_length() - 1
+                    raise StrictAxiomViolation("O", _ev(space, a, a | sup, b, b2))
+    # Ac for all c at once: with c disjoint from a and b, bit c of
+    # above[b] >> a is a|c > b, and bit c of strict[a] >> b is a > b|c
+    above = _transpose(strict)
+    for a in range(space.size):
+        for b in submasks(full & ~a):
+            bad = (strict[a | b] & rows[full & ~a & ~b] & above[b] >> a
+                   & ~(strict[a] >> b))
+            if bad:
+                c = (bad & -bad).bit_length() - 1
+                raise StrictAxiomViolation("Ac", _ev(space, a, b, c))
+
+    for a, row in enumerate(strict):
+        rows[a] |= row
     return ConfidenceRelation(space, tuple(rows))
 
 
@@ -505,17 +526,10 @@ def accepted_set(rel: ConfidenceRelation, context: Event) -> Kernel:
     accepted events exist but their intersection is empty.
     """
     rel._check(context, context)
-    c = context.bits
-    full = rel.space.full_mask
-    accepted = []
-    kern = full
-    for a in range(rel.space.size):
-        if rel.s(a & c, (full & ~a) & c):
-            accepted.append(a)
-            kern &= a
+    accepted = _accepted(rel, context.bits)
+    kern = reduce(and_, accepted, rel.space.full_mask)
     flags = set()
     if not accepted:
-        kern = full
         flags.add("no_belief")
     elif kern == 0:
         flags.add("empty_kernel")
@@ -529,65 +543,54 @@ def accepted_set(rel: ConfidenceRelation, context: Event) -> Kernel:
 
 def check_closure(rel: ConfidenceRelation, context: Event) -> Verdict:
     """Is the accepted set closed under supersets and pairwise intersection?"""
-    acc = [a.bits for a in accepted_set(rel, context).accepted]
-    members = set(acc)
-    full = rel.space.full_mask
-    for a in acc:
-        for sup in submasks(full & ~a):
-            b = a | sup
-            if b not in members:
-                return Verdict(
-                    "closure", False, _ev(rel.space, a, b), detail="superset"
-                )
-    for a in acc:
-        for b in acc:
-            if a & b not in members:
-                return Verdict(
-                    "closure", False, _ev(rel.space, a, b), detail="intersection"
-                )
+    rel._check(context, context)
+    acc = _accepted(rel, context.bits)
+    for detail, found in (("superset", _superset_gap(acc, rel.space.full_mask)),
+                          ("intersection", _intersection_gap(acc))):
+        if found:
+            return Verdict("closure", False, _ev(rel.space, *found), detail=detail)
     return Verdict("closure", True)
 
 
 # ---------------------------------------------------------------------------
 # consequences of the acceptance axioms, checkable per relation
 
+def _kernel_gap(acc: list[int], full: int) -> Optional[tuple[int]]:
+    """(a,) for the first event a that contains the kernel but is not
+    accepted. Every accepted event contains the kernel, so acceptance is
+    exactly containing the kernel iff there is none."""
+    kern = reduce(and_, acc, full)
+    members = set(acc)
+    for sup in submasks(full & ~kern):
+        if kern | sup not in members:
+            return (kern | sup,)
+    return None
+
+
 def kernel_characterization(rel: ConfidenceRelation) -> Verdict:
     """Accepted exactly = supersets of the kernel (vacuous if nothing accepted)."""
-    result = accepted_set(rel, rel.space.full())
-    if "no_belief" in result.flags:
+    full = rel.space.full_mask
+    acc = _accepted(rel, full)
+    if not acc:
         return Verdict("kernel_characterization", True, detail="no accepted beliefs")
-    k = result.kernel.bits
-    members = {a.bits for a in result.accepted}
-    for a in range(rel.space.size):
-        if (a in members) != (k & ~a == 0):
-            return Verdict("kernel_characterization", False, _ev(rel.space, a))
-    return Verdict("kernel_characterization", True)
+    return _gap_verdict(rel, "kernel_characterization", _kernel_gap(acc, full))
 
 
 def conditional_kernel_characterization(rel: ConfidenceRelation) -> Verdict:
     """Same characterization inside every context that is strictly plausible."""
-    for b in range(rel.space.size):
-        if not rel.s(b, 0):
+    axiom = "conditional_kernel_characterization"
+    full = rel.space.full_mask
+    for c in range(rel.space.size):
+        if not rel.s(c, 0):
             continue
-        ctx = Event(rel.space, b)
-        result = accepted_set(rel, ctx)
-        members = {a.bits for a in result.accepted}
-        if not members:
-            return Verdict(
-                "conditional_kernel_characterization",
-                False,
-                (ctx,),
-                detail="plausible context with nothing accepted",
-            )
-        k = result.kernel.bits
-        for a in range(rel.space.size):
-            if (a in members) != (k & ~a == 0):
-                return Verdict(
-                    "conditional_kernel_characterization",
-                    False,
-                    (ctx, Event(rel.space, a)),
-                )
-    return Verdict("conditional_kernel_characterization", True)
+        acc = _accepted(rel, c)
+        if not acc:
+            return Verdict(axiom, False, _ev(rel.space, c),
+                           detail="plausible context with nothing accepted")
+        found = _kernel_gap(acc, full)
+        if found:
+            return Verdict(axiom, False, _ev(rel.space, c, *found))
+    return Verdict(axiom, True)
 
 
 def negligibility_chain(rel: ConfidenceRelation) -> Verdict:

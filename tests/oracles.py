@@ -389,3 +389,145 @@ def reference_close_strict_pairs(seed_pairs, n):
                     pairs.add((a, c))
                     changed = True
     return pairs
+
+
+def reference_lift_strict(pairs, n):
+    """lift_strict as a loop over a sorted list and a set of mask pairs:
+    IR, then T over pairs x pairs, then O over every superset of the left
+    side and subset of the right, then the acceptance axiom on disjoint
+    triples. Returns (rows, None) with the lifted weak rows, or
+    (None, (axiom, witness)) for the first violation."""
+    full = (1 << n) - 1
+    subs = [_ascending_submasks(m) for m in range(full + 1)]
+    pairs = set(pairs)
+    ordered = sorted(pairs)
+    for a, b in ordered:
+        if a == b:
+            return None, ("IR", (a,))
+    for a, b in ordered:
+        for b2, c in ordered:
+            if b2 == b and (a, c) not in pairs:
+                return None, ("T", (a, b, c))
+    for a, b in ordered:
+        for sup in subs[full & ~a]:
+            for b2 in subs[b]:
+                if (a | sup, b2) not in pairs:
+                    return None, ("O", (a, a | sup, b, b2))
+    for a, b, c in _disjoint_triples(subs):
+        if (a | b, c) in pairs and (a | c, b) in pairs and (a, b | c) not in pairs:
+            return None, ("Ac", (a, b, c))
+    rows = [sum(1 << b for b in subs[a]) for a in range(full + 1)]
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    return tuple(rows), None
+
+
+# the acceptance family, one loop per property as the definitions read:
+# A is accepted in context C when A&C is strictly above comp(A)&C
+
+def reference_accepted(rows, c):
+    full = len(rows) - 1
+    return [a for a in range(full + 1)
+            if strict_holds(rows, a & c, full & ~a & c)]
+
+
+def reference_cs(rows):
+    full = len(rows) - 1
+    for a in range(full + 1):
+        if not strict_holds(rows, a, full & ~a):
+            continue
+        for b in _ascending_submasks(full):
+            if a & ~b == 0 and not strict_holds(rows, b, full & ~b):
+                return a, b
+    return None
+
+
+def reference_and(rows):
+    full = len(rows) - 1
+    for a in range(full + 1):
+        if not strict_holds(rows, a, full & ~a):
+            continue
+        for b in range(full + 1):
+            if (strict_holds(rows, b, full & ~b)
+                    and not strict_holds(rows, a & b, full & ~(a & b))):
+                return a, b
+    return None
+
+
+def reference_ccs(rows):
+    full = len(rows) - 1
+    for c in range(full + 1):
+        for a in range(full + 1):
+            if not strict_holds(rows, a & c, full & ~a & c):
+                continue
+            for b in range(full + 1):
+                if a & ~b == 0 and not strict_holds(rows, b & c, full & ~b & c):
+                    return c, a, b
+    return None
+
+
+def reference_cand(rows):
+    full = len(rows) - 1
+    for c in range(full + 1):
+        for a in range(full + 1):
+            if not strict_holds(rows, a & c, full & ~a & c):
+                continue
+            for b in range(full + 1):
+                if not strict_holds(rows, b & c, full & ~b & c):
+                    continue
+                ab = a & b
+                if not strict_holds(rows, ab & c, full & ~ab & c):
+                    return c, a, b
+    return None
+
+
+def reference_closure(rows, c):
+    """(detail, (a, b)) for the first gap in the accepted set of c: a
+    superset first, then an intersection; None when it is closed."""
+    full = len(rows) - 1
+    acc = reference_accepted(rows, c)
+    for a in acc:
+        for b in range(full + 1):
+            if a & ~b == 0 and b not in acc:
+                return "superset", (a, b)
+    for a in acc:
+        for b in acc:
+            if a & b not in acc:
+                return "intersection", (a, b)
+    return None
+
+
+def _kernel_mismatch(rows, c):
+    # first event whose acceptance in c differs from containing the
+    # intersection of the accepted events
+    acc = reference_accepted(rows, c)
+    kern = len(rows) - 1
+    for a in acc:
+        kern &= a
+    for a in range(len(rows)):
+        if (a in acc) != (kern & ~a == 0):
+            return a
+    return None
+
+
+def reference_kernel_characterization(rows):
+    """None when the accepted events are exactly the supersets of their
+    intersection (or nothing is accepted), else the first event off."""
+    if not reference_accepted(rows, len(rows) - 1):
+        return None
+    return _kernel_mismatch(rows, len(rows) - 1)
+
+
+def reference_conditional_kernel_characterization(rows):
+    """None when every context strictly above the empty event accepts
+    something and passes the kernel characterization; else (c,) for a
+    context accepting nothing, or (c, a) for the first event off."""
+    for c in range(len(rows)):
+        if not strict_holds(rows, c, 0):
+            continue
+        if not reference_accepted(rows, c):
+            return (c,)
+        a = _kernel_mismatch(rows, c)
+        if a is not None:
+            return c, a
+    return None

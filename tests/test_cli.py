@@ -303,6 +303,8 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
         ("check-axioms", {"states": "ab", "pairs": []}, "states"),
         ("check-axioms", {"states": ["a", "b"], "pairs": [["ab", "b"]]},
          "pairs"),
+        ("check-axioms", {"states": ["a", "b"], "pairs": [[{"a": 1}, ["b"]]]},
+         "pairs"),
         ("check-axioms", ["states"], "JSON object"),
         ("check-axioms", {"states": ["a", "b"], "pairs": [[["a"], ["b"]]],
                           "strict_only": "false"}, "strict_only"),

@@ -1,3 +1,8 @@
+import random
+import re
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +29,21 @@ from confrel import (
     strict_order_from_chain,
 )
 from conftest import inclusion_relation
-from oracles import naive_ac, naive_acceptance_rows, naive_mi, naive_t
+from oracles import (
+    naive_ac,
+    naive_acceptance_rows,
+    naive_mi,
+    naive_t,
+    reference_accepted,
+    reference_and,
+    reference_cand,
+    reference_ccs,
+    reference_closure,
+    reference_conditional_kernel_characterization,
+    reference_cs,
+    reference_kernel_characterization,
+    reference_lift_strict,
+)
 
 
 def from_table(space, values):
@@ -69,6 +88,12 @@ def test_ir_holds_for_any_weak_matrix(s2):
     # the strict part of a weak relation is irreflexive by construction
     rel = from_table(s2, [3, 1, 4, 1])
     assert check_axiom(rel, "IR").holds
+
+
+def test_readme_lists_every_axiom():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = re.findall(r"^\| `(\w+)` \|", readme, flags=re.M)
+    assert listed == list(AXIOMS)
 
 
 def test_check_axiom_rejects_unknown_name(s2):
@@ -153,6 +178,7 @@ def test_lift_strict_rejects_cycles(s2):
     with pytest.raises(StrictAxiomViolation) as err:
         lift_strict(s2, [(1, 2), (2, 1)])
     assert err.value.axiom == "T"
+    assert tuple(e.bits for e in err.value.witness) == (1, 2, 1)
 
 
 def test_lift_strict_rejects_missing_orientation_growth(s2):
@@ -231,3 +257,106 @@ def test_weak_pairs_roundtrip(s2):
     assert again == rel
     assert rel.is_complete()
     assert not inclusion_relation(s2).is_complete()
+
+
+# -- against the per-definition loops of tests/oracles.py --------------------
+
+def _lift_outcome(space, pairs):
+    try:
+        return lift_strict(space, pairs).rows, None
+    except StrictAxiomViolation as err:
+        return None, (err.axiom, tuple(e.bits for e in err.witness))
+
+
+def test_lift_strict_matches_set_of_pairs_reference():
+    rng = random.Random(31)
+    outcomes = Counter()
+    for trial in range(1500):
+        n = 1 + trial % 3
+        sp = make_space([f"s{i}" for i in range(n)])
+        size = 1 << n
+        if trial % 2:
+            # closures of seeds with disjoint sides mostly lift; the rest
+            # fail on IR (a forced cycle) or Ac
+            seeds = []
+            for _ in range(rng.randint(1, 3)):
+                a = rng.randrange(1, size)
+                seeds.append((a, rng.randrange(size) & ~a))
+            pairs = {(a.bits, b.bits) for a, b in close_strict_pairs(sp, seeds)}
+        else:
+            drawn = [(rng.randrange(size), rng.randrange(size))
+                     for _ in range(rng.randint(0, 2 * size))]
+            pairs = {(a, b) for a, b in drawn if a != b or rng.random() < 0.05}
+        got = _lift_outcome(sp, pairs)
+        assert got == reference_lift_strict(pairs, n), (n, sorted(pairs))
+        outcomes[got[1][0] if got[1] else "lifted"] += 1
+    assert min(outcomes[k] for k in ("lifted", "IR", "T", "O", "Ac")) >= 20, outcomes
+
+
+def _family_matrices(rng, count):
+    # random weak rows, tables with ties, and tables monotone in inclusion
+    for i in range(count):
+        n = 1 + i % 4
+        size = 1 << n
+        kind = i // 4 % 3
+        if kind == 0:
+            yield n, tuple(rng.randrange(1 << size) for _ in range(size))
+            continue
+        values = [rng.randrange(3 if kind == 1 else 2 * n) for _ in range(size)]
+        if kind == 2:
+            values = [max(values[b] for b in range(size) if b & ~a == 0)
+                      for a in range(size)]
+        yield n, tuple(
+            sum(1 << b for b in range(size) if values[a] >= values[b])
+            for a in range(size)
+        )
+
+
+def _bits_of(verdict):
+    return tuple(e.bits for e in verdict.witness) if verdict.witness else None
+
+
+def test_acceptance_family_matches_per_definition_loops():
+    outcomes = Counter()
+    for n, rows in _family_matrices(random.Random(5), 1200):
+        sp = make_space([f"s{i}" for i in range(n)])
+        rel = ConfidenceRelation(sp, rows)
+        for axiom, reference in (("CS", reference_cs), ("AND", reference_and),
+                                 ("CCS", reference_ccs),
+                                 ("CAND", reference_cand)):
+            verdict = check_axiom(rel, axiom)
+            assert _bits_of(verdict) == reference(rows), (axiom, rows)
+            assert verdict.holds == (verdict.witness is None)
+            outcomes[axiom, verdict.holds] += 1
+        for check, reference in (
+            (kernel_characterization, reference_kernel_characterization),
+            (conditional_kernel_characterization,
+             reference_conditional_kernel_characterization),
+        ):
+            verdict = check(rel)
+            expected = reference(rows)
+            assert verdict.holds == (expected is None), (check, rows)
+            if expected is not None:
+                expected = expected if isinstance(expected, tuple) else (expected,)
+                assert _bits_of(verdict) == expected, (check, rows)
+            outcomes[check.__name__, verdict.holds] += 1
+        for c in range(sp.size):
+            accepted = reference_accepted(rows, c)
+            kernel = accepted_set(rel, sp.event_from_bits(c))
+            assert [e.bits for e in kernel.accepted] == accepted
+            kern = sp.full_mask
+            for a in accepted:
+                kern &= a
+            assert kernel.kernel.bits == kern
+            assert kernel.flags == ({"no_belief"} if not accepted else
+                                    {"empty_kernel"} if kern == 0 else set())
+            closure = check_closure(rel, sp.event_from_bits(c))
+            expected = reference_closure(rows, c)
+            if expected is None:
+                assert closure.holds and closure.witness is None
+            else:
+                assert (closure.detail, _bits_of(closure)) == expected, (c, rows)
+            outcomes["closure", closure.holds] += 1
+    for name in ("CS", "AND", "CCS", "CAND", "kernel_characterization",
+                 "conditional_kernel_characterization", "closure"):
+        assert min(outcomes[name, True], outcomes[name, False]) >= 100, outcomes
