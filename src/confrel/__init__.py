@@ -105,7 +105,6 @@ from .fileio import (
     dump_kb,
     dump_measure,
     dump_relation,
-    load_event,
     load_family,
     load_kb,
     load_measure,

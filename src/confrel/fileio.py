@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .core import RELATION_MAX, Event, StateSpace, make_space
+from .core import RELATION_MAX, StateSpace, make_space
 from .errors import EmptySpace
 from .logic import AtomUniverse, LabelledSpace
 from .measures import MASS, POSSIBILITY, PROBABILITY, Measure, mass, possibility, probability
@@ -63,10 +63,6 @@ def _event_pairs(space: StateSpace, pairs, field: str) -> list:
         pass
     raise ValueError(f"{field} must list pairs of events, each a list of "
                      "state names")
-
-
-def load_event(space: StateSpace, names) -> Event:
-    return space.event(names)
 
 
 # -- relations --------------------------------------------------------------

@@ -291,6 +291,9 @@ class LabelledSpace:
                  max_states: int = RELATION_MAX):
         self.atoms = _check_atoms(atoms)
         self.space = make_space(states, max_states)
+        stray = set(labels) - set(self.space.states)
+        if stray:
+            raise ValueError(f"'labels' name undeclared states {sorted(stray)}")
         known = set(self.atoms)
         self.labels = {}
         for s in self.space.states:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 from typing import Optional, Sequence
 
-from .core import Event, StateSpace, _bits, _triple_masks, submasks
+from .core import Event, StateSpace, _bits, submasks
 from .errors import KindMismatch, ZeroDenominator
-from .relations import ConfidenceRelation
+from .relations import ConfidenceRelation, _ac_gap, _inclusion_rows, _strict_parts
 
 PROBABILITY = "probability"
 POSSIBILITY = "possibility"
@@ -36,7 +37,10 @@ def parse_rational(value) -> Fraction:
         return Fraction(str(value))
     if isinstance(value, Fraction):
         return value
-    return Fraction(str(value).strip())
+    try:
+        return Fraction(str(value).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -185,21 +189,20 @@ class SetFunctionTable:
 
 def relation_from_table(space: StateSpace, values: Sequence) -> ConfidenceRelation:
     """Complete preorder: A at least as confident as B iff value(A) >= value(B)."""
-    order = sorted(range(space.size), key=lambda a: values[a])
-    rows = [0] * space.size
+    return ConfidenceRelation(space, tuple(_table_rows(values)))
+
+
+def _table_rows(values: Sequence) -> list[int]:
+    """Weak rows of the table's order: bit b of row a iff value(a) >= value(b)."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    rows = [0] * len(values)
     prefix = 0
-    i = 0
-    while i < len(order):
-        j = i
-        group = 0
-        while j < len(order) and values[order[j]] == values[order[i]]:
-            group |= 1 << order[j]
-            j += 1
-        prefix |= group
-        for a in order[i:j]:
+    for _, group in groupby(order, key=values.__getitem__):
+        group = list(group)
+        prefix |= sum(1 << a for a in group)
+        for a in group:
             rows[a] = prefix
-        i = j
-    return ConfidenceRelation(space, tuple(rows))
+    return rows
 
 
 def induce_relation(measure: Measure, flavor: Optional[str] = None) -> ConfidenceRelation:
@@ -279,11 +282,8 @@ def brute_force_ct(values: Sequence) -> bool:
     n = size.bit_length() - 1
     if 1 << n != size:
         raise ValueError("table length must be a power of two")
-    for a, b, c in _triple_masks(size - 1):
-        if (values[a | b] > values[c] and values[a | c] > values[b]
-                and not values[a] > values[b | c]):
-            return False
-    return True
+    strict, above = _strict_parts(_table_rows(values))
+    return _ac_gap(strict, above, _inclusion_rows(n)) is None
 
 
 def _kernel_context_ok(n: int, tab: Sequence) -> bool:

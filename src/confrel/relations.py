@@ -1,9 +1,12 @@
 """Explicit confidence relations over the powerset of a finite state space.
 
 A relation is stored as one integer row per event: bit b of rows[a] says
-event a is held at least as confident as event b. The strict part,
-equivalence and incomparability all derive from the rows; nothing is
-assumed at construction, axioms are checked on demand.
+event a is held at least as confident as event b; nothing is assumed at
+construction, axioms are checked on demand. The strict part comes from
+the rows and the columns of one _transpose (_strict_parts). Each strict
+axiom has one gap finder that tests a whole row of events per step
+(_o_gap, _ac_gap, _weak_gap), shared by check_axiom, lift_strict and
+measures.brute_force_ct.
 
 Axiom checkers scan events in increasing bitmask order and return the
 first violating instance, so a failing Verdict is reproducible and can be
@@ -83,10 +86,7 @@ class ConfidenceRelation:
             raise SpaceMismatch("event from a different space")
 
     def is_complete(self) -> bool:
-        n = self.space.size
-        return all(
-            self.w(a, b) or self.w(b, a) for a in range(n) for b in range(a + 1, n)
-        )
+        return _first_incomparable(self.rows) is None
 
     def weak_pairs(self) -> Iterator[tuple[Event, Event]]:
         for a in range(self.space.size):
@@ -97,16 +97,12 @@ class ConfidenceRelation:
                 row &= row - 1
 
     def dual(self) -> "ConfidenceRelation":
-        full = self.space.full_mask
-        n = self.space.size
-        rows = []
-        for a in range(n):
-            row = 0
-            for b in range(n):
-                if self.w(full & ~b, full & ~a):
-                    row |= 1 << b
-            rows.append(row)
-        return ConfidenceRelation(self.space, tuple(rows))
+        """A >= B in the dual iff comp(B) >= comp(A). A row written high
+        bit first has its bit comp(a) at position a, so column a of those
+        strings, read high bit first, is row a of the dual."""
+        spec = f"0{self.space.size}b"
+        cols = zip(*(format(row, spec) for row in self.rows))
+        return ConfidenceRelation(self.space, tuple(int("".join(c), 2) for c in cols))
 
     def condition(self, c: Event) -> "ConfidenceRelation":
         self._check(c, c)
@@ -142,15 +138,29 @@ def _inclusion_rows(n: int) -> list[int]:
     return rows
 
 
-def _transpose(rows: list[int]) -> list[int]:
+def _transpose(rows) -> list[int]:
     """The bit matrix with bit a of row b set iff bit b of rows[a] is."""
-    cols = [0] * len(rows)
-    for a, row in enumerate(rows):
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= 1 << a
-            row ^= low
-    return cols
+    spec = f"0{len(rows)}b"
+    bits = [format(row, spec)[::-1] for row in rows]
+    return [int("".join(col)[::-1], 2) for col in zip(*bits)]
+
+
+def _strict_parts(rows) -> tuple[list[int], list[int]]:
+    """The strict part of weak rows: bit b of strict[a] means a > b, and
+    above is its transpose (bit a of above[b] means a > b)."""
+    cols = _transpose(rows)
+    return ([r & ~c for r, c in zip(rows, cols)],
+            [c & ~r for r, c in zip(rows, cols)])
+
+
+def _first_incomparable(rows) -> Optional[tuple[int, int]]:
+    """First (a, b), a < b, with neither a >= b nor b >= a."""
+    full = (1 << len(rows)) - 1
+    for a, (row, col) in enumerate(zip(rows, _transpose(rows))):
+        missing = (full & ~(row | col)) >> a >> 1
+        if missing:
+            return a, a + (missing & -missing).bit_length()
+    return None
 
 
 def _transitive_close(rows: list[int]) -> None:
@@ -221,41 +231,58 @@ def _check_mi(rel):
     return Verdict("MI", True)
 
 
-def _check_o(rel):
-    full = rel.space.full_mask
-    for a in range(rel.space.size):
+def _o_gap(strict, inclusion) -> Optional[tuple[int, int, int, int]]:
+    """First (a, a2, b, b2) with a > b, a2 a superset of a and b2 a subset
+    of b, but not a2 > b2; b2 is the lowest bit of inclusion[b] missing
+    from strict[a2]."""
+    full = len(strict) - 1
+    for a, row in enumerate(strict):
         for sup in submasks(full & ~a):
-            a2 = a | sup
-            for b in range(rel.space.size):
-                if not rel.s(a, b):
-                    continue
-                for b2 in submasks(b):
-                    if not rel.s(a2, b2):
-                        return Verdict("O", False, _ev(rel.space, a, a2, b, b2))
-    return Verdict("O", True)
+            row2 = strict[a | sup]
+            # once sup = 0 has passed, row is closed under subsets, so a
+            # gap at a | sup needs a member of row missing from row2
+            if sup and not row & ~row2:
+                continue
+            todo = row
+            while todo:
+                b = (todo & -todo).bit_length() - 1
+                todo &= todo - 1
+                missing = inclusion[b] & ~row2
+                if missing:
+                    return a, a | sup, b, (missing & -missing).bit_length() - 1
+    return None
 
 
-def _check_ir(rel):
-    for a in range(rel.space.size):
-        if rel.s(a, a):
-            return Verdict("IR", False, _ev(rel.space, a))
-    return Verdict("IR", True)
+def _ac_gap(strict, above, inclusion) -> Optional[tuple[int, int, int]]:
+    """First disjoint (a, b, c) with a|b > c and a|c > b but not a > b|c.
+    All c go at once per disjoint (a, b): with c disjoint from both, bit c
+    of above[b] >> a is a|c > b, and bit c of strict[a] >> b is a > b|c."""
+    full = len(strict) - 1
+    for a, row in enumerate(strict):
+        for b in submasks(full & ~a):
+            bad = (strict[a | b] & inclusion[full & ~a & ~b] & above[b] >> a
+                   & ~(row >> b))
+            if bad:
+                return a, b, (bad & -bad).bit_length() - 1
+    return None
 
 
-def _ac_like(rel, axiom, triples):
-    for a, b, c in triples:
-        if rel.s(a | b, c) and rel.s(a | c, b) and not rel.s(a, b | c):
-            return Verdict(axiom, False, _ev(rel.space, a, b, c))
-    return Verdict(axiom, True)
+def _check_o(rel):
+    strict, _ = _strict_parts(rel.rows)
+    return _gap_verdict(rel, "O", _o_gap(strict, _inclusion_rows(rel.space.n)))
 
 
 def _check_ac(rel):
-    return _ac_like(rel, "Ac", _triple_masks(rel.space.full_mask))
+    strict, above = _strict_parts(rel.rows)
+    found = _ac_gap(strict, above, _inclusion_rows(rel.space.n))
+    return _gap_verdict(rel, "Ac", found)
 
 
 def _check_qual(rel):
-    n = rel.space.size
-    return _ac_like(rel, "Qual", product(range(n), repeat=3))
+    for a, b, c in product(range(rel.space.size), repeat=3):
+        if rel.s(a | b, c) and rel.s(a | c, b) and not rel.s(a, b | c):
+            return Verdict("Qual", False, _ev(rel.space, a, b, c))
+    return Verdict("Qual", True)
 
 
 def _check_cp(rel):
@@ -358,51 +385,49 @@ def _check_type_and(rel):
     return Verdict("TYPE_AND", True)
 
 
-def _check_weak_and(rel):
-    for a, b, c in _triple_masks(rel.space.full_mask):
-        if rel.s(a | b, b) and not rel.s(a | b | c, b | c):
-            return Verdict("WEAK_AND", False, _ev(rel.space, a, b, c))
-    return Verdict("WEAK_AND", True)
-
-
-def _check_weak_or(rel):
-    for a, b, c in _triple_masks(rel.space.full_mask):
-        if rel.s(a | b | c, b | c) and not rel.s(a | b, b):
-            return Verdict("WEAK_OR", False, _ev(rel.space, a, b, c))
-    return Verdict("WEAK_OR", True)
+def _weak_gap(rel, axiom: str, grows: bool) -> Verdict:
+    """WEAK_AND when grows (disjoint a, b, c: a|b > b gives a|b|c > b|c),
+    else WEAK_OR (the converse). Bit x of up is a|x > x, so for c
+    disjoint from b, bit c of up >> b is a|b|c > b|c."""
+    full = rel.space.full_mask
+    inclusion = _inclusion_rows(rel.space.n)
+    for a in range(rel.space.size):
+        free = full & ~a
+        up = sum(1 << x for x in submasks(free) if rel.s(a | x, x))
+        for b in submasks(free):
+            if (up >> b & 1) == grows:
+                bad = (~up if grows else up) >> b & inclusion[free & ~b]
+                if bad:
+                    c = (bad & -bad).bit_length() - 1
+                    return Verdict(axiom, False, _ev(rel.space, a, b, c))
+    return Verdict(axiom, True)
 
 
 def _check_self_dual(rel):
-    full = rel.space.full_mask
-    n = rel.space.size
-    for a in range(n):
-        for b in range(n):
-            if rel.w(a, b) != rel.w(full & ~b, full & ~a):
-                return Verdict("SELF_DUAL", False, _ev(rel.space, a, b))
+    for a, (row, dual) in enumerate(zip(rel.rows, rel.dual().rows)):
+        if row != dual:
+            diff = row ^ dual
+            b = (diff & -diff).bit_length() - 1
+            return Verdict("SELF_DUAL", False, _ev(rel.space, a, b))
     return Verdict("SELF_DUAL", True)
 
 
-def _check_poss_like(rel):
+def _check_pole(rel, axiom: str, pole: int) -> Verdict:
+    """POSS_LIKE (pole empty) or CERT_LIKE (pole full): the first event
+    that is equivalent to the pole together with its complement."""
     full = rel.space.full_mask
     for a in range(rel.space.size):
-        if rel.e(a, 0) and rel.e(full & ~a, 0):
-            return Verdict("POSS_LIKE", False, _ev(rel.space, a))
-    return Verdict("POSS_LIKE", True)
-
-
-def _check_cert_like(rel):
-    full = rel.space.full_mask
-    for a in range(rel.space.size):
-        if rel.e(a, full) and rel.e(full & ~a, full):
-            return Verdict("CERT_LIKE", False, _ev(rel.space, a))
-    return Verdict("CERT_LIKE", True)
+        if rel.e(a, pole) and rel.e(full & ~a, pole):
+            return Verdict(axiom, False, _ev(rel.space, a))
+    return Verdict(axiom, True)
 
 
 _CHECKERS = {
     "T": _check_t,
     "MI": _check_mi,
     "O": _check_o,
-    "IR": _check_ir,
+    # a > a would need a >= a and not a >= a: IR holds for every relation
+    "IR": lambda rel: Verdict("IR", True),
     "Ac": _check_ac,
     "Qual": _check_qual,
     "CP": _check_cp,
@@ -413,11 +438,11 @@ _CHECKERS = {
     "ADD": _check_add,
     "TYPE_OR": _check_type_or,
     "TYPE_AND": _check_type_and,
-    "WEAK_AND": _check_weak_and,
-    "WEAK_OR": _check_weak_or,
+    "WEAK_AND": lambda rel: _weak_gap(rel, "WEAK_AND", True),
+    "WEAK_OR": lambda rel: _weak_gap(rel, "WEAK_OR", False),
     "SELF_DUAL": _check_self_dual,
-    "POSS_LIKE": _check_poss_like,
-    "CERT_LIKE": _check_cert_like,
+    "POSS_LIKE": lambda rel: _check_pole(rel, "POSS_LIKE", 0),
+    "CERT_LIKE": lambda rel: _check_pole(rel, "CERT_LIKE", rel.space.full_mask),
 }
 
 AXIOMS = tuple(_CHECKERS)
@@ -449,7 +474,6 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
     The input is checked as given (irreflexive, transitive, O, the
     acceptance axiom on disjoint triples); no closure is applied first.
     """
-    full = space.full_mask
     strict = [0] * space.size  # bit b of strict[a]: a > b
     for a, b in strict_pairs:
         strict[_bits(a)] |= 1 << _bits(b)
@@ -461,29 +485,14 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
     if not transitive:
         raise StrictAxiomViolation("T", transitive.witness)
     rows = _inclusion_rows(space.n)
-    for a, row in enumerate(strict):
-        while row:
-            b = (row & -row).bit_length() - 1
-            row &= row - 1
-            for sup in submasks(full & ~a):
-                missing = rows[b] & ~strict[a | sup]
-                if missing:
-                    b2 = (missing & -missing).bit_length() - 1
-                    raise StrictAxiomViolation("O", _ev(space, a, a | sup, b, b2))
-    # Ac for all c at once: with c disjoint from a and b, bit c of
-    # above[b] >> a is a|c > b, and bit c of strict[a] >> b is a > b|c
-    above = _transpose(strict)
-    for a in range(space.size):
-        for b in submasks(full & ~a):
-            bad = (strict[a | b] & rows[full & ~a & ~b] & above[b] >> a
-                   & ~(strict[a] >> b))
-            if bad:
-                c = (bad & -bad).bit_length() - 1
-                raise StrictAxiomViolation("Ac", _ev(space, a, b, c))
+    found = _o_gap(strict, rows)
+    if found:
+        raise StrictAxiomViolation("O", _ev(space, *found))
+    found = _ac_gap(strict, _transpose(strict), rows)
+    if found:
+        raise StrictAxiomViolation("Ac", _ev(space, *found))
 
-    for a, row in enumerate(strict):
-        rows[a] |= row
-    return ConfidenceRelation(space, tuple(rows))
+    return ConfidenceRelation(space, tuple(i | s for i, s in zip(rows, strict)))
 
 
 def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]]:

@@ -22,7 +22,8 @@ from typing import Optional, Union
 
 from .core import DECOMPOSE_MAX, Event, StateSpace, _triple_masks
 from .errors import NotAcceptance, SharedEquivalenceViolated, TooLarge
-from .relations import (ConfidenceRelation, _grow_orientation, _inclusion_rows,
+from .relations import (ConfidenceRelation, _first_incomparable,
+                        _grow_orientation, _inclusion_rows, _strict_parts,
                         _transitive_close, _transpose, is_acceptance_preorder)
 
 
@@ -51,9 +52,9 @@ class ConstrainedRelation:
 
 def constrain(rel: ConfidenceRelation) -> ConstrainedRelation:
     """Wrap a relation, committing every strict preference it already has."""
-    # a > b forbids b >= a: bit a of forbidden[b] is a >= b without b >= a
-    forbidden = (c & ~r for c, r in zip(_transpose(rel.rows), rel.rows))
-    return ConstrainedRelation(rel.space, rel.rows, tuple(forbidden))
+    # a > b forbids b >= a: forbidden[b] is the column of strict edges into b
+    _, above = _strict_parts(rel.rows)
+    return ConstrainedRelation(rel.space, rel.rows, tuple(above))
 
 
 def _commit(rows, forbidden, x: int, y: int) -> Optional[tuple[int, int]]:
@@ -129,15 +130,6 @@ def _equivalence_pairs(rows) -> frozenset:
         for b in range(a + 1, n)
         if rows[a] >> b & 1 and rows[b] >> a & 1
     )
-
-
-def _first_incomparable(rows) -> Optional[tuple[int, int]]:
-    n = len(rows)
-    for a in range(n):
-        for b in range(n):
-            if not (rows[a] >> b & 1 or rows[b] >> a & 1):
-                return (a, b)
-    return None
 
 
 def decompose(rel: ConfidenceRelation, mode: str = "all",

@@ -393,10 +393,11 @@ def reference_close_strict_pairs(seed_pairs, n):
 
 def reference_lift_strict(pairs, n):
     """lift_strict as a loop over a sorted list and a set of mask pairs:
-    IR, then T over pairs x pairs, then O over every superset of the left
-    side and subset of the right, then the acceptance axiom on disjoint
-    triples. Returns (rows, None) with the lifted weak rows, or
-    (None, (axiom, witness)) for the first violation."""
+    IR, then T over pairs x pairs, then O over each left side a, every
+    superset of a, each pair (a, b) and every subset of b, then the
+    acceptance axiom on disjoint triples. Returns (rows, None) with the
+    lifted weak rows, or (None, (axiom, witness)) for the first
+    violation."""
     full = (1 << n) - 1
     subs = [_ascending_submasks(m) for m in range(full + 1)]
     pairs = set(pairs)
@@ -408,11 +409,12 @@ def reference_lift_strict(pairs, n):
         for b2, c in ordered:
             if b2 == b and (a, c) not in pairs:
                 return None, ("T", (a, b, c))
-    for a, b in ordered:
+    for a in range(full + 1):
         for sup in subs[full & ~a]:
-            for b2 in subs[b]:
-                if (a | sup, b2) not in pairs:
-                    return None, ("O", (a, a | sup, b, b2))
+            for b in (b for a1, b in ordered if a1 == a):
+                for b2 in subs[b]:
+                    if (a | sup, b2) not in pairs:
+                        return None, ("O", (a, a | sup, b, b2))
     for a, b, c in _disjoint_triples(subs):
         if (a | b, c) in pairs and (a | c, b) in pairs and (a, b | c) not in pairs:
             return None, ("Ac", (a, b, c))
@@ -531,3 +533,94 @@ def reference_conditional_kernel_characterization(rows):
         if a is not None:
             return c, a
     return None
+
+
+# the strict-part axioms, dual and completeness, one bit per step over
+# every instance in bitmask order; each returns the first witness or None
+
+def reference_o(rows):
+    full = len(rows) - 1
+    for a in range(full + 1):
+        for sup in _ascending_submasks(full & ~a):
+            for b in range(full + 1):
+                if not strict_holds(rows, a, b):
+                    continue
+                for b2 in _ascending_submasks(b):
+                    if not strict_holds(rows, a | sup, b2):
+                        return a, a | sup, b, b2
+    return None
+
+
+def reference_ac(rows):
+    subs = [_ascending_submasks(m) for m in range(len(rows))]
+    for a, b, c in _disjoint_triples(subs):
+        if (strict_holds(rows, a | b, c) and strict_holds(rows, a | c, b)
+                and not strict_holds(rows, a, b | c)):
+            return a, b, c
+    return None
+
+
+def reference_weak_and(rows):
+    subs = [_ascending_submasks(m) for m in range(len(rows))]
+    for a, b, c in _disjoint_triples(subs):
+        if (strict_holds(rows, a | b, b)
+                and not strict_holds(rows, a | b | c, b | c)):
+            return a, b, c
+    return None
+
+
+def reference_weak_or(rows):
+    subs = [_ascending_submasks(m) for m in range(len(rows))]
+    for a, b, c in _disjoint_triples(subs):
+        if (strict_holds(rows, a | b | c, b | c)
+                and not strict_holds(rows, a | b, b)):
+            return a, b, c
+    return None
+
+
+def reference_dual(rows):
+    """A >= B in the dual when comp(B) >= comp(A)."""
+    full = len(rows) - 1
+    return tuple(
+        sum(1 << b for b in range(full + 1)
+            if weak_holds(rows, full & ~b, full & ~a))
+        for a in range(full + 1)
+    )
+
+
+def reference_self_dual(rows):
+    full = len(rows) - 1
+    for a in range(full + 1):
+        for b in range(full + 1):
+            if weak_holds(rows, a, b) != weak_holds(rows, full & ~b, full & ~a):
+                return a, b
+    return None
+
+
+def reference_first_incomparable(rows):
+    """First (a, b) in row-major order with neither a >= b nor b >= a."""
+    for a in range(len(rows)):
+        for b in range(len(rows)):
+            if not (weak_holds(rows, a, b) or weak_holds(rows, b, a)):
+                return a, b
+    return None
+
+
+def reference_forbidden(rows):
+    """Bit a of row b when a > b: the edges a constrained relation
+    forbids to keep each strict preference."""
+    return tuple(
+        sum(1 << a for a in range(len(rows)) if strict_holds(rows, a, b))
+        for b in range(len(rows))
+    )
+
+
+def reference_brute_force_ct(values):
+    """The acceptance axiom read off a value table: no disjoint A, B, C
+    with A|B above C and A|C above B but A not above B|C."""
+    subs = [_ascending_submasks(m) for m in range(len(values))]
+    return not any(
+        values[a | b] > values[c] and values[a | c] > values[b]
+        and not values[a] > values[b | c]
+        for a, b, c in _disjoint_triples(subs)
+    )

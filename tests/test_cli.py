@@ -312,10 +312,19 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
                           "strict_only": 1}, "strict_only"),
         ("classify-measure",
          {"states": ["a", "b"], "type": "mass", "values": ["1"]}, "values"),
+        ("classify-measure", {"states": ["a", "b"], "type": "probability",
+                              "values": ["1/0", "0"]}, "1/0"),
+        ("induce", {"states": ["a", "b"], "type": "mass",
+                    "values": {"a": "0/0", "b": "1"}}, "0/0"),
+        ("classify-measure", {"states": ["a", "b"], "type": "possibility",
+                              "values": {"a": "1", "b": "1/0"}}, "1/0"),
         ("close-kb", {"atoms": ["a"], "rules": [5]}, "rules"),
         ("close-kb", {"atoms": "ab", "rules": []}, "atoms"),
         ("close-kb", {"states": ["w"], "atoms": ["a"], "labels": 5,
                       "rules": []}, "labels"),
+        ("close-kb", {"states": ["w", "v"], "atoms": ["a"],
+                      "labels": {"w": ["a"], "vv": ["a"]}, "rules": []},
+         "labels"),
         ("close-kb", {"states": [f"w{i}" for i in range(14)], "atoms": ["a"],
                       "rules": []}, "cap"),
         ("close-kb", {"atoms": ["a"],

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,8 @@ from confrel import (
     table_for,
     uniform_probability,
 )
-from oracles import naive_bel, naive_pl, naive_poss, naive_sup_rows
+from oracles import (naive_bel, naive_pl, naive_poss, naive_sup_rows,
+                     reference_brute_force_ct)
 
 F = Fraction
 
@@ -187,6 +189,25 @@ def test_big_stepped_probability_is_context_tolerant():
     assert not brute_force_ct(table_for(uniform_probability(sp)))
     with pytest.raises(ValueError):
         brute_force_ct([0, 1, 2])
+
+
+def test_brute_force_ct_matches_triple_loop():
+    rng = random.Random(37)
+    verdicts = Counter()
+    for i in range(5000):
+        n = 1 + i % 5
+        size = 1 << n
+        values = [rng.randrange(1 + i % 7) for _ in range(size)]
+        if i % 3 == 0:
+            # monotone in inclusion, as the tables of measures are
+            values = [max(values[b] for b in range(size) if b & ~a == 0)
+                      for a in range(size)]
+        if i % 4 == 1:
+            values = [F(v, 3) for v in values]
+        holds = brute_force_ct(values)
+        assert holds == reference_brute_force_ct(values), values
+        verdicts[holds] += 1
+    assert min(verdicts[True], verdicts[False]) >= 1000, verdicts
 
 
 def test_classify_acceptance_belief(s3):

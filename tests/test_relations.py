@@ -19,6 +19,7 @@ from confrel import (
     check_closure,
     close_strict_pairs,
     conditional_kernel_characterization,
+    constrain,
     is_acceptance,
     is_acceptance_preorder,
     kernel_characterization,
@@ -28,12 +29,14 @@ from confrel import (
     plausible_union_growth,
     strict_order_from_chain,
 )
+from confrel.relations import _first_incomparable
 from conftest import inclusion_relation
 from oracles import (
     naive_ac,
     naive_acceptance_rows,
     naive_mi,
     naive_t,
+    reference_ac,
     reference_accepted,
     reference_and,
     reference_cand,
@@ -41,8 +44,15 @@ from oracles import (
     reference_closure,
     reference_conditional_kernel_characterization,
     reference_cs,
+    reference_dual,
+    reference_first_incomparable,
+    reference_forbidden,
     reference_kernel_characterization,
     reference_lift_strict,
+    reference_o,
+    reference_self_dual,
+    reference_weak_and,
+    reference_weak_or,
 )
 
 
@@ -290,26 +300,37 @@ def test_lift_strict_matches_set_of_pairs_reference():
         got = _lift_outcome(sp, pairs)
         assert got == reference_lift_strict(pairs, n), (n, sorted(pairs))
         outcomes[got[1][0] if got[1] else "lifted"] += 1
-    assert min(outcomes[k] for k in ("lifted", "IR", "T", "O", "Ac")) >= 20, outcomes
+        if trial % 2 and got[1] and got[1][0] == "Ac":
+            # the witness check_axiom gives on the grown weak relation
+            grown = ConfidenceRelation.from_weak_pairs(
+                sp, [(a, b) for a in range(size) for b in range(size)
+                     if b & ~a == 0 or (a, b) in pairs])
+            assert _bits_of(check_axiom(grown, "Ac")) == got[1][1]
+            outcomes["grown"] += 1
+    assert min(outcomes[k] for k in ("lifted", "IR", "T", "O", "Ac",
+                                     "grown")) >= 20, outcomes
 
 
-def _family_matrices(rng, count):
-    # random weak rows, tables with ties, and tables monotone in inclusion
+def _family_matrices(rng, count, kinds=3):
+    # random weak rows, tables with ties, tables monotone in inclusion
+    # and, with kinds=4, monotone tables with a few weak bits knocked out
     for i in range(count):
         n = 1 + i % 4
         size = 1 << n
-        kind = i // 4 % 3
+        kind = i // 4 % kinds
         if kind == 0:
             yield n, tuple(rng.randrange(1 << size) for _ in range(size))
             continue
         values = [rng.randrange(3 if kind == 1 else 2 * n) for _ in range(size)]
-        if kind == 2:
+        if kind >= 2:
             values = [max(values[b] for b in range(size) if b & ~a == 0)
                       for a in range(size)]
-        yield n, tuple(
-            sum(1 << b for b in range(size) if values[a] >= values[b])
-            for a in range(size)
-        )
+        rows = [sum(1 << b for b in range(size) if values[a] >= values[b])
+                for a in range(size)]
+        if kind == 3:
+            for _ in range(rng.randint(1, 3)):
+                rows[rng.randrange(size)] &= ~(1 << rng.randrange(size))
+        yield n, tuple(rows)
 
 
 def _bits_of(verdict):
@@ -359,4 +380,30 @@ def test_acceptance_family_matches_per_definition_loops():
             outcomes["closure", closure.holds] += 1
     for name in ("CS", "AND", "CCS", "CAND", "kernel_characterization",
                  "conditional_kernel_characterization", "closure"):
+        assert min(outcomes[name, True], outcomes[name, False]) >= 100, outcomes
+
+
+def test_strict_part_checkers_match_per_bit_loops():
+    outcomes = Counter()
+    for n, rows in _family_matrices(random.Random(8), 1200, kinds=4):
+        sp = make_space([f"s{i}" for i in range(n)])
+        rel = ConfidenceRelation(sp, rows)
+        for axiom, reference in (("O", reference_o), ("Ac", reference_ac),
+                                 ("WEAK_AND", reference_weak_and),
+                                 ("WEAK_OR", reference_weak_or),
+                                 ("SELF_DUAL", reference_self_dual)):
+            verdict = check_axiom(rel, axiom)
+            assert _bits_of(verdict) == reference(rows), (axiom, rows)
+            assert verdict.holds == (verdict.witness is None)
+            outcomes[axiom, verdict.holds] += 1
+        assert rel.dual().rows == reference_dual(rows), rows
+        # decompose branches on rows that hold the diagonal; is_complete
+        # ignores it
+        diagonal = tuple(row | 1 << a for a, row in enumerate(rows))
+        pick = reference_first_incomparable(diagonal)
+        assert _first_incomparable(rows) == pick, rows
+        assert rel.is_complete() == (pick is None), rows
+        outcomes["complete", pick is None] += 1
+        assert constrain(rel).forbidden == reference_forbidden(rows), rows
+    for name in ("O", "Ac", "WEAK_AND", "WEAK_OR", "SELF_DUAL", "complete"):
         assert min(outcomes[name, True], outcomes[name, False]) >= 100, outcomes
