@@ -25,10 +25,14 @@ POSSIBILITY = "possibility"
 MASS = "mass"
 
 _ONE = Fraction(1)
+# Fraction expands "1e9999999" into a ten-million-digit integer, so
+# exponent spellings beyond this size are refused before parsing
+_MAX_EXPONENT = 1000
 
 
 def parse_rational(value) -> Fraction:
-    """Exact rational from an int, a float literal, '3/10' or '0.3'."""
+    """Exact rational from an int, a float literal, '3/10', '0.3' or
+    '3e-1'; an exponent beyond _MAX_EXPONENT either way is refused."""
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, int):
@@ -37,8 +41,14 @@ def parse_rational(value) -> Fraction:
         return Fraction(str(value))
     if isinstance(value, Fraction):
         return value
+    text = str(value).strip()
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(_MAX_EXPONENT))
+                                     or int(digits) > _MAX_EXPONENT):
+        raise ValueError(f"exponent of {value!r} is beyond {_MAX_EXPONENT}")
     try:
-        return Fraction(str(value).strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
 

@@ -8,6 +8,15 @@ axiom has one gap finder that tests a whole row of events per step
 (_o_gap, _ac_gap, _weak_gap), shared by check_axiom, lift_strict and
 measures.brute_force_ct.
 
+A complete preorder has few distinct rows, so T (_t_gap, shared by
+check_axiom, lift_strict and all_acceptance_preorders) groups events by
+identical row and walks each class's row one met class at a time; a
+class that already holds is cleared with its whole row. MI is one mask
+test per row against the inclusion rows. condition(c) builds row a as
+(rows[a & c] & inclusion[c]) * inclusion[comp(c)], once per distinct
+a & c: the product spreads each bit b' <= c over every b' | x with x
+outside c, and the two parts never overlap, so it has no carries.
+
 Axiom checkers scan events in increasing bitmask order and return the
 first violating instance, so a failing Verdict is reproducible and can be
 re-evaluated directly against the relation.
@@ -18,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from operator import and_
+from operator import and_, or_
 from typing import Iterator, Optional
 
 from .core import Event, StateSpace, _bits, _triple_masks, submasks
@@ -97,25 +106,19 @@ class ConfidenceRelation:
                 row &= row - 1
 
     def dual(self) -> "ConfidenceRelation":
-        """A >= B in the dual iff comp(B) >= comp(A). A row written high
-        bit first has its bit comp(a) at position a, so column a of those
-        strings, read high bit first, is row a of the dual."""
-        spec = f"0{self.space.size}b"
-        cols = zip(*(format(row, spec) for row in self.rows))
-        return ConfidenceRelation(self.space, tuple(int("".join(c), 2) for c in cols))
+        """A >= B in the dual iff comp(B) >= comp(A)."""
+        return ConfidenceRelation(self.space, tuple(_dual_rows(self.rows)))
 
     def condition(self, c: Event) -> "ConfidenceRelation":
+        """A >= B given c iff A&c >= B&c; each row is the carry-free
+        product described in the module docstring."""
         self._check(c, c)
         cb = c.bits
-        n = self.space.size
-        rows = []
-        for a in range(n):
-            row = 0
-            for b in range(n):
-                if self.w(a & cb, b & cb):
-                    row |= 1 << b
-            rows.append(row)
-        return ConfidenceRelation(self.space, tuple(rows))
+        inclusion = _inclusion_rows(self.space.n)
+        inside, outside = inclusion[cb], inclusion[self.space.full_mask & ~cb]
+        parts = {a: (self.rows[a] & inside) * outside for a in submasks(cb)}
+        return ConfidenceRelation(
+            self.space, tuple(parts[a & cb] for a in range(self.space.size)))
 
     @classmethod
     def from_weak_pairs(cls, space: StateSpace, pairs) -> "ConfidenceRelation":
@@ -143,6 +146,15 @@ def _transpose(rows) -> list[int]:
     spec = f"0{len(rows)}b"
     bits = [format(row, spec)[::-1] for row in rows]
     return [int("".join(col)[::-1], 2) for col in zip(*bits)]
+
+
+def _dual_rows(rows) -> Iterator[int]:
+    """Rows of the dual, one at a time. A row written high bit first has
+    its bit comp(a) at position a, so column a of those strings, read
+    high bit first, is row a of the dual."""
+    spec = f"0{len(rows)}b"
+    for col in zip(*(format(row, spec) for row in rows)):
+        yield int("".join(col), 2)
 
 
 def _strict_parts(rows) -> tuple[list[int], list[int]]:
@@ -205,30 +217,50 @@ def _ev(space, *masks) -> tuple:
     return tuple(Event(space, m) for m in masks)
 
 
+def _t_gap(rows) -> Optional[tuple[int, int, int]]:
+    """First (a, b, c) with a >= b and b >= c but not a >= c. Events are
+    grouped by identical row, and each class's row is walked one met
+    class at a time: b is the first member whose row is not inside, c the
+    lowest bit outside. Classes go by growing popcount, so a smaller met
+    class is decided, and one that holds is cleared with its whole row.
+    Each step clears the met class's members, so irreflexive rows end."""
+    members = {}
+    for a, row in enumerate(rows):
+        members[row] = members.get(row, 0) | 1 << a
+    holds = set()
+    first = None
+    for row in sorted(members, key=int.bit_count):
+        todo = row
+        while todo:
+            b = (todo & -todo).bit_length() - 1
+            met = rows[b]
+            excess = met & ~row
+            if excess:
+                a = (members[row] & -members[row]).bit_length() - 1
+                if first is None or a < first[0]:
+                    first = a, b, (excess & -excess).bit_length() - 1
+                break
+            todo &= ~(members[met] | (met if met in holds else 0))
+        else:
+            holds.add(row)
+    return first
+
+
 def _check_t(rel):
-    n = rel.space.size
-    rows = rel.rows
-    for a in range(n):
-        row_a = rows[a]
-        row = row_a
-        while row:
-            b = (row & -row).bit_length() - 1
-            row &= row - 1
-            missing = rows[b] & ~row_a
-            if missing:
-                c = (missing & -missing).bit_length() - 1
-                return Verdict("T", False, _ev(rel.space, a, b, c))
-    return Verdict("T", True)
+    return _gap_verdict(rel, "T", _t_gap(rel.rows))
 
 
 def _check_mi(rel):
-    full = rel.space.full_mask
-    for a in range(rel.space.size):
-        for sub in submasks(full & ~a):
-            b = a | sub
-            if not rel.w(b, a):
-                return Verdict("MI", False, _ev(rel.space, a, b))
-    return Verdict("MI", True)
+    """Row b must hold every subset of b: one mask test per b. The
+    witness is the lowest a missing anywhere, with the first b missing it."""
+    inclusion = _inclusion_rows(rel.space.n)
+    gaps = [sub & ~row for row, sub in zip(rel.rows, inclusion)]
+    union = reduce(or_, gaps)
+    if not union:
+        return Verdict("MI", True)
+    a = (union & -union).bit_length() - 1
+    b = next(b for b, gap in enumerate(gaps) if gap >> a & 1)
+    return Verdict("MI", False, _ev(rel.space, a, b))
 
 
 def _o_gap(strict, inclusion) -> Optional[tuple[int, int, int, int]]:
@@ -404,7 +436,7 @@ def _weak_gap(rel, axiom: str, grows: bool) -> Verdict:
 
 
 def _check_self_dual(rel):
-    for a, (row, dual) in enumerate(zip(rel.rows, rel.dual().rows)):
+    for a, (row, dual) in enumerate(zip(rel.rows, _dual_rows(rel.rows))):
         if row != dual:
             diff = row ^ dual
             b = (diff & -diff).bit_length() - 1
@@ -481,9 +513,9 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
     for a, row in enumerate(strict):
         if row >> a & 1:
             raise StrictAxiomViolation("IR", _ev(space, a))
-    transitive = _check_t(ConfidenceRelation(space, tuple(strict)))
-    if not transitive:
-        raise StrictAxiomViolation("T", transitive.witness)
+    found = _t_gap(strict)
+    if found:
+        raise StrictAxiomViolation("T", _ev(space, *found))
     rows = _inclusion_rows(space.n)
     found = _o_gap(strict, rows)
     if found:
@@ -655,5 +687,5 @@ def all_acceptance_preorders(space: StateSpace) -> Iterator[ConfidenceRelation]:
         if any(rows[a] & required[a] != required[a] for a in range(n)):
             continue
         rel = ConfidenceRelation(space, rows)
-        if _check_t(rel).holds and _check_ac(rel).holds:
+        if _t_gap(rows) is None and _check_ac(rel).holds:
             yield rel

@@ -535,8 +535,37 @@ def reference_conditional_kernel_characterization(rows):
     return None
 
 
-# the strict-part axioms, dual and completeness, one bit per step over
-# every instance in bitmask order; each returns the first witness or None
+# the strict-part axioms, T, MI, dual, condition and completeness, one
+# bit per step over every instance in bitmask order; each checker returns
+# the first witness or None
+
+def reference_t(rows):
+    for a in range(len(rows)):
+        for b in range(len(rows)):
+            if not weak_holds(rows, a, b):
+                continue
+            for c in range(len(rows)):
+                if weak_holds(rows, b, c) and not weak_holds(rows, a, c):
+                    return a, b, c
+    return None
+
+
+def reference_mi(rows):
+    """First a, then the first superset b of a, with not b >= a."""
+    for a in range(len(rows)):
+        for b in range(len(rows)):
+            if b & a == a and not weak_holds(rows, b, a):
+                return a, b
+    return None
+
+
+def reference_condition(rows, c):
+    """A >= B given c when A&c >= B&c."""
+    return tuple(
+        sum(1 << b for b in range(len(rows)) if weak_holds(rows, a & c, b & c))
+        for a in range(len(rows))
+    )
+
 
 def reference_o(rows):
     full = len(rows) - 1

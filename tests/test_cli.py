@@ -318,6 +318,10 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
                     "values": {"a": "0/0", "b": "1"}}, "0/0"),
         ("classify-measure", {"states": ["a", "b"], "type": "possibility",
                               "values": {"a": "1", "b": "1/0"}}, "1/0"),
+        ("classify-measure", {"states": ["a", "b"], "type": "probability",
+                              "values": ["1e9999999", "0"]}, "1e9999999"),
+        ("induce", {"states": ["a", "b"], "type": "mass",
+                    "values": {"a": "1e-9999999", "b": "1"}}, "1e-9999999"),
         ("close-kb", {"atoms": ["a"], "rules": [5]}, "rules"),
         ("close-kb", {"atoms": "ab", "rules": []}, "atoms"),
         ("close-kb", {"states": ["w"], "atoms": ["a"], "labels": 5,

@@ -42,6 +42,7 @@ from oracles import (
     reference_cand,
     reference_ccs,
     reference_closure,
+    reference_condition,
     reference_conditional_kernel_characterization,
     reference_cs,
     reference_dual,
@@ -49,8 +50,10 @@ from oracles import (
     reference_forbidden,
     reference_kernel_characterization,
     reference_lift_strict,
+    reference_mi,
     reference_o,
     reference_self_dual,
+    reference_t,
     reference_weak_and,
     reference_weak_or,
 )
@@ -312,8 +315,10 @@ def test_lift_strict_matches_set_of_pairs_reference():
 
 
 def _family_matrices(rng, count, kinds=3):
-    # random weak rows, tables with ties, tables monotone in inclusion
-    # and, with kinds=4, monotone tables with a few weak bits knocked out
+    # random weak rows, tables with ties, tables monotone in inclusion,
+    # with kinds=4 monotone tables with a few weak bits knocked out and,
+    # with kinds=5, the strict part of those (irreflexive, as lift_strict
+    # checks it)
     for i in range(count):
         n = 1 + i % 4
         size = 1 << n
@@ -327,9 +332,13 @@ def _family_matrices(rng, count, kinds=3):
                       for a in range(size)]
         rows = [sum(1 << b for b in range(size) if values[a] >= values[b])
                 for a in range(size)]
-        if kind == 3:
+        if kind >= 3:
             for _ in range(rng.randint(1, 3)):
                 rows[rng.randrange(size)] &= ~(1 << rng.randrange(size))
+        if kind == 4:
+            rows = [sum(1 << b for b in range(size)
+                        if rows[a] >> b & 1 and not rows[b] >> a & 1)
+                    for a in range(size)]
         yield n, tuple(rows)
 
 
@@ -385,10 +394,11 @@ def test_acceptance_family_matches_per_definition_loops():
 
 def test_strict_part_checkers_match_per_bit_loops():
     outcomes = Counter()
-    for n, rows in _family_matrices(random.Random(8), 1200, kinds=4):
+    for n, rows in _family_matrices(random.Random(8), 1500, kinds=5):
         sp = make_space([f"s{i}" for i in range(n)])
         rel = ConfidenceRelation(sp, rows)
-        for axiom, reference in (("O", reference_o), ("Ac", reference_ac),
+        for axiom, reference in (("T", reference_t), ("MI", reference_mi),
+                                 ("O", reference_o), ("Ac", reference_ac),
                                  ("WEAK_AND", reference_weak_and),
                                  ("WEAK_OR", reference_weak_or),
                                  ("SELF_DUAL", reference_self_dual)):
@@ -397,6 +407,9 @@ def test_strict_part_checkers_match_per_bit_loops():
             assert verdict.holds == (verdict.witness is None)
             outcomes[axiom, verdict.holds] += 1
         assert rel.dual().rows == reference_dual(rows), rows
+        for c in range(sp.size):
+            conditioned = rel.condition(sp.event_from_bits(c)).rows
+            assert conditioned == reference_condition(rows, c), (c, rows)
         # decompose branches on rows that hold the diagonal; is_complete
         # ignores it
         diagonal = tuple(row | 1 << a for a, row in enumerate(rows))
@@ -405,5 +418,6 @@ def test_strict_part_checkers_match_per_bit_loops():
         assert rel.is_complete() == (pick is None), rows
         outcomes["complete", pick is None] += 1
         assert constrain(rel).forbidden == reference_forbidden(rows), rows
-    for name in ("O", "Ac", "WEAK_AND", "WEAK_OR", "SELF_DUAL", "complete"):
+    for name in ("T", "MI", "O", "Ac", "WEAK_AND", "WEAK_OR", "SELF_DUAL",
+                 "complete"):
         assert min(outcomes[name, True], outcomes[name, False]) >= 100, outcomes
