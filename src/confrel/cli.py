@@ -114,8 +114,14 @@ def _emit(report: dict, args) -> None:
 # -- subcommand handlers, each returning (exit_code, inputs, result) ---------
 
 def _cmd_check_axioms(args):
-    rel = fileio.load_relation(args.relation, args.max_states)
     names = [a.strip() for a in args.axioms.split(",") if a.strip()]
+    if not names:
+        raise ValueError("--axioms names no axiom")
+    unknown = [name for name in names if name not in relations.AXIOMS]
+    if unknown:
+        raise ValueError(f"unknown axiom {unknown[0]}; "
+                         f"know {', '.join(sorted(relations.AXIOMS))}")
+    rel = fileio.load_relation(args.relation, args.max_states)
     verdicts = [relations.check_axiom(rel, name) for name in names]
     inputs = {"files": {args.relation: _sha256(args.relation)},
               "axioms": names}

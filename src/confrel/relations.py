@@ -2,11 +2,15 @@
 
 A relation is stored as one integer row per event: bit b of rows[a] says
 event a is held at least as confident as event b; nothing is assumed at
-construction, axioms are checked on demand. The strict part comes from
-the rows and the columns of one _transpose (_strict_parts). Each strict
-axiom has one gap finder that tests a whole row of events per step
-(_o_gap, _ac_gap, _weak_gap), shared by check_axiom, lift_strict and
-measures.brute_force_ct.
+construction, axioms are checked on demand. Transpose and dual are one
+delta-swap kernel (_delta_swap): log2(size) levels of row-pair swaps,
+the pairing choosing the transpose or the anti-transpose, which is the
+dual. The strict part comes from the rows and the columns of one
+_transpose (_strict_parts). Each strict axiom has one gap finder that
+tests a whole row of events per step (_o_gap, _ac_gap, _weak_gap),
+shared by check_axiom, lift_strict and measures.brute_force_ct; Ac
+scans disjoint (a, b) with all c at once (_ac_steps), and
+representation.ac_close commits from the same scan.
 
 A complete preorder has few distinct rows, so T (_t_gap, shared by
 check_axiom, lift_strict and all_acceptance_preorders) groups events by
@@ -141,20 +145,45 @@ def _inclusion_rows(n: int) -> list[int]:
     return rows
 
 
+def _delta_swap(rows, anti: bool) -> list[int]:
+    """The transpose of a square bit matrix (bit b of row a to bit a of
+    row b), or with anti its anti-transpose (bit b of row a to bit
+    comp(a) of row comp(b)), on a copy of the rows.
+
+    For j = size/2, ..., 1, each row r with bit j clear trades bits with
+    row r + j in one delta swap over the columns c with bit j clear (the
+    mask): the transpose swaps bit c + j of row r with bit c of row r + j,
+    the anti-transpose bit c of row r with bit c + j of row r + j. Each
+    level flips bit j of both row and column, where they differ for the
+    transpose and where they agree for the anti-transpose."""
+    rows = list(rows)
+    size = len(rows)
+    full = (1 << size) - 1
+    j = size >> 1
+    while j:
+        mask = full // ((1 << 2 * j) - 1) * ((1 << j) - 1)
+        # rows r + lift (low bits moving up) and r + j - lift (high bits
+        # moving down) pair up
+        lift = 0 if anti else j
+        for r in range(size):
+            if not r & j:
+                low, high = rows[r + lift], rows[r + j - lift]
+                swap = (low ^ high >> j) & mask
+                rows[r + lift] = low ^ swap
+                rows[r + j - lift] = high ^ swap << j
+        j >>= 1
+    return rows
+
+
 def _transpose(rows) -> list[int]:
     """The bit matrix with bit a of row b set iff bit b of rows[a] is."""
-    spec = f"0{len(rows)}b"
-    bits = [format(row, spec)[::-1] for row in rows]
-    return [int("".join(col)[::-1], 2) for col in zip(*bits)]
+    return _delta_swap(rows, False)
 
 
-def _dual_rows(rows) -> Iterator[int]:
-    """Rows of the dual, one at a time. A row written high bit first has
-    its bit comp(a) at position a, so column a of those strings, read
-    high bit first, is row a of the dual."""
-    spec = f"0{len(rows)}b"
-    for col in zip(*(format(row, spec) for row in rows)):
-        yield int("".join(col), 2)
+def _dual_rows(rows) -> list[int]:
+    """Rows of the dual: bit b of row a set iff bit comp(a) of
+    rows[comp(b)] is."""
+    return _delta_swap(rows, True)
 
 
 def _strict_parts(rows) -> tuple[list[int], list[int]]:
@@ -285,17 +314,27 @@ def _o_gap(strict, inclusion) -> Optional[tuple[int, int, int, int]]:
     return None
 
 
-def _ac_gap(strict, above, inclusion) -> Optional[tuple[int, int, int]]:
-    """First disjoint (a, b, c) with a|b > c and a|c > b but not a > b|c.
-    All c go at once per disjoint (a, b): with c disjoint from both, bit c
-    of above[b] >> a is a|c > b, and bit c of strict[a] >> b is a > b|c."""
+def _ac_steps(strict, above, inclusion) -> Iterator[tuple[int, int, int]]:
+    """Each disjoint (a, b) with the mask of every c disjoint from both
+    such that a|b > c and a|c > b but not a > b|c, when that mask is not
+    empty: bit c of above[b] >> a is a|c > b, and bit c of strict[a] >> b
+    is a > b|c. The rows are read as the scan reaches them, so a caller
+    may grow strict and above between steps."""
     full = len(strict) - 1
-    for a, row in enumerate(strict):
-        for b in submasks(full & ~a):
-            bad = (strict[a | b] & inclusion[full & ~a & ~b] & above[b] >> a
-                   & ~(row >> b))
-            if bad:
-                return a, b, (bad & -bad).bit_length() - 1
+    for a in range(len(strict)):
+        free = full & ~a
+        for b in submasks(free):
+            cs = (strict[a | b] & inclusion[free & ~b] & above[b] >> a
+                  & ~(strict[a] >> b))
+            if cs:
+                yield a, b, cs
+
+
+def _ac_gap(strict, above, inclusion) -> Optional[tuple[int, int, int]]:
+    """First disjoint (a, b, c) with a|b > c and a|c > b but not a > b|c:
+    the lowest c of the first step of _ac_steps."""
+    for a, b, cs in _ac_steps(strict, above, inclusion):
+        return a, b, (cs & -cs).bit_length() - 1
     return None
 
 

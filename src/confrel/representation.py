@@ -5,8 +5,9 @@ forbidden weak edges; forbidding the reverse edge of a weak one is what
 makes a strict preference a durable commitment that closure steps can
 build on. Closing works on bit rows in passes: transitivity on the weak
 rows, orientation growth (O) on the committed strict pairs by shift-or
-passes over the subset lattice, and the acceptance axiom on disjoint
-triples, until a pass changes nothing. A pass that leaves an edge both
+passes over the subset lattice, and the acceptance axiom, which commits
+all c per disjoint (a, b) by shift masks rather than one disjoint triple
+at a time, until a pass changes nothing. A pass that leaves an edge both
 weak and forbidden yields a Contradiction value carrying that pair.
 
 Decomposition branches on the first incomparable pair, committing each
@@ -20,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import DECOMPOSE_MAX, Event, StateSpace, _triple_masks
+from .core import DECOMPOSE_MAX, Event, StateSpace
 from .errors import NotAcceptance, SharedEquivalenceViolated, TooLarge
-from .relations import (ConfidenceRelation, _first_incomparable,
+from .relations import (ConfidenceRelation, _ac_steps, _first_incomparable,
                         _grow_orientation, _inclusion_rows, _strict_parts,
                         _transitive_close, _transpose, is_acceptance_preorder)
 
@@ -76,7 +77,11 @@ def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradictio
     The inclusion edges (monotony) go in once. Each pass then closes the
     weak rows under transitivity, grows the committed part of forbidden
     (bit x of forbidden[y] with x >= y weak: x > y) under O, and commits
-    a > b|c for each disjoint triple with a|b > c and a|c > b committed.
+    a > b|c for each disjoint (a, b), all c at once: every c disjoint
+    from both with a|b > c and a|c > b committed, read from the committed
+    matrix (above) and its transpose (strict) as _ac_steps reaches them.
+    Commits for different c of one (a, b) never enable each other, so
+    this leaves the state that committing triple by triple would.
     Passes repeat until nothing changes; one clash check ends each pass.
     """
     space = cr.space
@@ -89,15 +94,20 @@ def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradictio
         _transitive_close(rows)
         # O grows only the forbidden reverse edges: the weak edge under
         # a grown x' > y' follows from monotony and transitivity
-        committed = [f & w for f, w in zip(forbidden, _transpose(rows))]
-        _grow_orientation(committed, inclusion)
-        forbidden = [f | c for f, c in zip(forbidden, committed)]
-        for a, b, c in _triple_masks(space.full_mask):
-            ab, ac = a | b, a | c
-            if (forbidden[c] >> ab & 1 and rows[ab] >> c & 1
-                    and forbidden[b] >> ac & 1 and rows[ac] >> b & 1):
+        above = [f & w for f, w in zip(forbidden, _transpose(rows))]
+        _grow_orientation(above, inclusion)
+        forbidden = [f | c for f, c in zip(forbidden, above)]
+        strict = _transpose(above)
+        for a, b, cs in _ac_steps(strict, above, inclusion):
+            # each c is disjoint from b, so bit b|c of row a is bit c of
+            # cs << b
+            rows[a] |= cs << b
+            strict[a] |= cs << b
+            while cs:
+                c = (cs & -cs).bit_length() - 1
                 forbidden[b | c] |= 1 << a
-                rows[a] |= 1 << (b | c)
+                above[b | c] |= 1 << a
+                cs &= cs - 1
         for a, row in enumerate(rows):
             bad = row & forbidden[a]
             if bad:

@@ -607,6 +607,14 @@ def reference_weak_or(rows):
     return None
 
 
+def reference_transpose(rows):
+    """Bit a of row b when bit b of rows[a] is set."""
+    return tuple(
+        sum(1 << a for a in range(len(rows)) if rows[a] >> b & 1)
+        for b in range(len(rows))
+    )
+
+
 def reference_dual(rows):
     """A >= B in the dual when comp(B) >= comp(A)."""
     full = len(rows) - 1

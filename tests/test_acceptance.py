@@ -7,6 +7,7 @@ the captured output along with the first few counterexamples.
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -70,6 +71,41 @@ def mass_sample(count):
     spaces = [make_space([f"s{i}" for i in range(1, n + 1)]) for n in (2, 3, 4)]
     for i in range(count):
         yield random_mass(spaces[i % 3], rng)
+
+
+def steep_probability(space, rng):
+    """Integer weights, each usually above the sum of those drawn before
+    it (the big-stepped shape), sometimes any value up to that sum; then
+    shuffled and normalised."""
+    weights = []
+    for _ in range(space.n):
+        below = sum(weights)
+        weights.append(below + rng.randint(1, 3) if rng.random() < 0.75
+                       else rng.randint(0, below + 1))
+    rng.shuffle(weights)
+    if not any(weights):
+        weights[0] = 1
+    total = sum(weights)
+    return probability(space, [F(w, total) for w in weights])
+
+
+def large_sample_agrees(recognizer, make, kind):
+    """Recognizer against brute_force_ct on 600 seeded measures at each of
+    5 and 6 states, past the exhaustive range, where make(space, rng)
+    draws one measure: the mismatches, and how often each verdict came
+    out at each n."""
+    rng = random.Random(DEFAULT_SEED + 1)
+    bad = []
+    verdicts = Counter()
+    for n in (5, 6):
+        space = make_space([f"s{i}" for i in range(1, n + 1)])
+        for _ in range(600):
+            m = make(space, rng)
+            exhaustive = brute_force_ct(table_for(m, kind))
+            verdicts[n, exhaustive] += 1
+            if recognizer(m) != exhaustive:
+                bad.append(dict(m.weights))
+    return bad, verdicts
 
 
 def test_criterion_01_exhaustive_two_state_sweep(s2):
@@ -145,13 +181,19 @@ def test_criterion_02_big_stepped_equivalence():
                 checked += 1
                 if structural != exhaustive:
                     bad.append((values, structural, exhaustive))
+    large_bad, verdicts = large_sample_agrees(is_big_stepped, steep_probability,
+                                              None)
+    bad.extend(large_bad)
     elapsed = time.monotonic() - started
     if elapsed >= 120:
         bad.append(f"over budget: {elapsed:.1f}s")
     ok = not bad
-    report(2, ok, f"{checked} distinct probability grids, recognizer and "
-                  f"exhaustive check agree everywhere ({elapsed:.1f}s)")
+    report(2, ok, f"{checked} distinct probability grids and "
+                  f"{sum(verdicts.values())} seeded ones at 5-6 states, "
+                  f"recognizer and exhaustive check agree everywhere "
+                  f"({elapsed:.1f}s)")
     assert ok, bad[:5]
+    assert min(verdicts[n, v] for n in (5, 6) for v in (True, False)) >= 20, verdicts
 
 
 def test_criterion_03_context_tolerant_belief_equivalence():
@@ -163,13 +205,20 @@ def test_criterion_03_context_tolerant_belief_equivalence():
         exhaustive = brute_force_ct(table_for(m, "belief"))
         if structural != exhaustive:
             bad.append(dict(m.weights))
+    large_bad, verdicts = large_sample_agrees(
+        is_context_tolerant_belief,
+        lambda space, rng: random_mass(space, rng, rng.choice((2, 3, 4, 6))),
+        "belief")
+    bad.extend(large_bad)
     elapsed = time.monotonic() - started
     if elapsed >= 120:
         bad.append(f"over budget: {elapsed:.1f}s")
     ok = not bad
-    report(3, ok, f"{count} seeded mass assignments, structural recognizer "
+    report(3, ok, f"{count} seeded mass assignments at 2-4 states and "
+                  f"{sum(verdicts.values())} at 5-6, structural recognizer "
                   f"matches the exhaustive check ({elapsed:.1f}s)")
     assert ok, bad[:3]
+    assert min(verdicts[n, v] for n in (5, 6) for v in (True, False)) >= 20, verdicts
 
 
 def test_criterion_04_belief_class_soundness_and_completeness():

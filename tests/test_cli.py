@@ -291,7 +291,15 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
     code, _, err = run(capsys, "check-axioms", str(bad))
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "check-axioms", path, "--axioms", "T,XYZ")
-    assert code == 2 and "unknown axiom" in err
+    assert code == 2 and err.startswith("error: unknown axiom XYZ;")
+    # names are checked before the file is read
+    code, _, err = run(capsys, "check-axioms", str(tmp_path / "missing.json"),
+                       "--axioms", "Nope")
+    assert code == 2 and err.startswith("error: unknown axiom Nope;")
+    # a list that names nothing is not an empty battery that holds
+    for axioms in (",", " , ", ""):
+        code, out, err = run(capsys, "check-axioms", path, "--axioms", axioms)
+        assert code == 2 and out == "" and err == "error: --axioms names no axiom\n"
     code, _, err = run(capsys, "entail", "p !f", "--kb", str(bad))
     assert code == 2
     code, _, err = run(capsys, "decompose", path, "--max-states", "2")

@@ -29,7 +29,7 @@ from confrel import (
     plausible_union_growth,
     strict_order_from_chain,
 )
-from confrel.relations import _first_incomparable
+from confrel.relations import _dual_rows, _first_incomparable, _transpose
 from conftest import inclusion_relation
 from oracles import (
     naive_ac,
@@ -54,6 +54,7 @@ from oracles import (
     reference_o,
     reference_self_dual,
     reference_t,
+    reference_transpose,
     reference_weak_and,
     reference_weak_or,
 )
@@ -344,6 +345,33 @@ def _family_matrices(rng, count, kinds=3):
 
 def _bits_of(verdict):
     return tuple(e.bits for e in verdict.witness) if verdict.witness else None
+
+
+def _kernel_matrices(rng, n):
+    # random rows, reverse inclusion, and the orders of a sum (probability
+    # like) and a max (possibility like) over small integer weights
+    size = 1 << n
+    for _ in range(3):
+        yield tuple(rng.getrandbits(size) for _ in range(size))
+    yield tuple(sum(1 << b for b in range(size) if b & ~a == 0)
+                for a in range(size))
+    weights = [rng.randrange(4) for _ in range(n)]
+    for combine in (sum, lambda ws: max(ws, default=0)):
+        values = [combine([w for i, w in enumerate(weights) if a >> i & 1])
+                  for a in range(size)]
+        yield tuple(sum(1 << b for b in range(size) if values[a] >= values[b])
+                    for a in range(size))
+
+
+def test_transpose_kernels_match_per_bit_loops():
+    rng = random.Random(12)
+    for n in (*range(7), 8):
+        for rows in _kernel_matrices(rng, n):
+            cols, dual = _transpose(rows), _dual_rows(rows)
+            assert tuple(cols) == reference_transpose(rows), (n, rows)
+            assert tuple(dual) == reference_dual(rows), (n, rows)
+            assert tuple(_transpose(cols)) == rows, (n, rows)
+            assert tuple(_dual_rows(dual)) == rows, (n, rows)
 
 
 def test_acceptance_family_matches_per_definition_loops():
