@@ -1,29 +1,28 @@
 """Explicit confidence relations over the powerset of a finite state space.
 
-A relation is stored as one integer row per event: bit b of rows[a] says
-event a is held at least as confident as event b; nothing is assumed at
-construction, axioms are checked on demand. Transpose and dual are one
-delta-swap kernel (_delta_swap): log2(size) levels of row-pair swaps,
-the pairing choosing the transpose or the anti-transpose, which is the
-dual. The strict part comes from the rows and the columns of one
-_transpose (_strict_parts). Each strict axiom has one gap finder that
-tests a whole row of events per step (_o_gap, _ac_gap, _weak_gap),
-shared by check_axiom, lift_strict and measures.brute_force_ct; Ac
-scans disjoint (a, b) with all c at once (_ac_steps), and
-representation.ac_close commits from the same scan.
+A relation is one integer row per event: bit b of rows[a] says a is held
+at least as confident as b. Nothing is assumed at construction; axioms
+are checked on demand, each returning the first violating instance in
+increasing bitmask order, which re-evaluates against the relation.
+Transpose and dual are one delta-swap kernel (_delta_swap), and the
+strict part is the rows and columns of one transpose (_strict_parts).
+Apart from Qual, CP and the poles, checkers test a row of events a step:
 
-A complete preorder has few distinct rows, so T (_t_gap, shared by
-check_axiom, lift_strict and all_acceptance_preorders) groups events by
-identical row and walks each class's row one met class at a time; a
-class that already holds is cleared with its whole row. MI is one mask
-test per row against the inclusion rows. condition(c) builds row a as
-(rows[a & c] & inclusion[c]) * inclusion[comp(c)], once per distinct
-a & c: the product spreads each bit b' <= c over every b' | x with x
-outside c, and the two parts never overlap, so it has no carries.
-
-Axiom checkers scan events in increasing bitmask order and return the
-first violating instance, so a failing Verdict is reproducible and can be
-re-evaluated directly against the relation.
+- T groups events by identical row (_t_gap); MI is one mask test per
+  row; O and Ac scan with all b2 or c at once (_o_gap, _ac_steps, shared
+  with lift_strict, measures and representation.ac_close).
+- ADD, TYPE_OR, TYPE_AND: adding a's states one at a time turns (b, c)
+  into (a|b, a|c) by one-state steps, so the first failing a is a single
+  state x, and one shifted row per b holds every c (_additivity_gap).
+- An up-set gap, a member with a superset outside a set of events, is
+  found by one shift-or per state that closes the complement downward
+  (_upward_gap). It decides WEAK_AND/WEAK_OR on the rows a|x > x
+  (_up_rows), and CS, CCS and check_closure on accepted sets.
+- The events accepted in context c are the parts u <= c with u > c ^ u,
+  spread over every u | x with x outside c by the carry-free product
+  with inclusion[comp(c)] (_accepted); condition(c) uses the same
+  product. One transpose gives these parts for every context at once
+  (_accepted_by_context, behind CCS, CAND and the conditional kernel).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from operator import and_, or_
+from operator import or_, xor
 from typing import Iterator, Optional
 
 from .core import Event, StateSpace, _bits, _triple_masks, submasks
@@ -114,8 +113,9 @@ class ConfidenceRelation:
         return ConfidenceRelation(self.space, tuple(_dual_rows(self.rows)))
 
     def condition(self, c: Event) -> "ConfidenceRelation":
-        """A >= B given c iff A&c >= B&c; each row is the carry-free
-        product described in the module docstring."""
+        """A >= B given c iff A&c >= B&c. Row a is the carry-free product
+        (rows[a & c] & inclusion[c]) * inclusion[comp(c)], which spreads
+        each bit b <= c over every b | x with x outside c."""
         self._check(c, c)
         cb = c.bits
         inclusion = _inclusion_rows(self.space.n)
@@ -275,21 +275,16 @@ def _t_gap(rows) -> Optional[tuple[int, int, int]]:
     return first
 
 
-def _check_t(rel):
-    return _gap_verdict(rel, "T", _t_gap(rel.rows))
-
-
-def _check_mi(rel):
+def _mi_gap(rel):
     """Row b must hold every subset of b: one mask test per b. The
     witness is the lowest a missing anywhere, with the first b missing it."""
     inclusion = _inclusion_rows(rel.space.n)
     gaps = [sub & ~row for row, sub in zip(rel.rows, inclusion)]
     union = reduce(or_, gaps)
     if not union:
-        return Verdict("MI", True)
+        return None
     a = (union & -union).bit_length() - 1
-    b = next(b for b, gap in enumerate(gaps) if gap >> a & 1)
-    return Verdict("MI", False, _ev(rel.space, a, b))
+    return a, next(b for b, gap in enumerate(gaps) if gap >> a & 1)
 
 
 def _o_gap(strict, inclusion) -> Optional[tuple[int, int, int, int]]:
@@ -338,62 +333,78 @@ def _ac_gap(strict, above, inclusion) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _check_o(rel):
-    strict, _ = _strict_parts(rel.rows)
-    return _gap_verdict(rel, "O", _o_gap(strict, _inclusion_rows(rel.space.n)))
-
-
-def _check_ac(rel):
-    strict, above = _strict_parts(rel.rows)
-    found = _ac_gap(strict, above, _inclusion_rows(rel.space.n))
-    return _gap_verdict(rel, "Ac", found)
-
-
-def _check_qual(rel):
+def _qual_gap(rel):
     for a, b, c in product(range(rel.space.size), repeat=3):
         if rel.s(a | b, c) and rel.s(a | c, b) and not rel.s(a, b | c):
-            return Verdict("Qual", False, _ev(rel.space, a, b, c))
-    return Verdict("Qual", True)
-
-
-def _check_cp(rel):
-    for a in range(rel.space.size):
-        if rel.s(0, a):
-            return Verdict("CP", False, _ev(rel.space, a))
-    return Verdict("CP", True)
-
-
-def _accepted(rel, c: int) -> list[int]:
-    """The events accepted in context c, ascending: those a whose part
-    inside c is strictly above the part of its complement inside c."""
-    full = rel.space.full_mask
-    return [a for a in range(rel.space.size) if rel.s(a & c, full & ~a & c)]
-
-
-def _superset_gap(acc: list[int], full: int) -> Optional[tuple[int, int]]:
-    """First (a, b): a accepted, b a superset of a that is not."""
-    members = set(acc)
-    for a in acc:
-        for sup in submasks(full & ~a):
-            if a | sup not in members:
-                return a, a | sup
+            return a, b, c
     return None
 
 
-def _intersection_gap(acc: list[int]) -> Optional[tuple[int, int]]:
-    """First (a, b): both accepted, their intersection not."""
-    members = set(acc)
-    for a in acc:
-        for b in acc:
-            if a & b not in members:
-                return a, b
+def _accepted(rows, c: int, inclusion) -> int:
+    """Bit a for each event a accepted in context c: a & c strictly above
+    comp(a) & c. The parts u of c with u > c ^ u are read one per row,
+    and the product with inclusion[comp(c)] spreads each over every u | x
+    with x outside c, without carries (as in condition)."""
+    inside = sum(1 << u for u in submasks(c)
+                 if rows[u] >> (c ^ u) & 1 and not rows[c ^ u] >> u & 1)
+    return inside * inclusion[(len(rows) - 1) & ~c]
+
+
+def _accepted_by_context(rows, inclusion) -> Iterator[int]:
+    """_accepted of every context in turn. Bit v of strict[u], for v
+    disjoint from u, is u > v; moved up to bit u | v and transposed once,
+    row c holds each u inside c with u > c ^ u."""
+    strict, _ = _strict_parts(rows)
+    full = len(rows) - 1
+    inside = _transpose([(row & inclusion[full & ~u]) << u
+                         for u, row in enumerate(strict)])
+    for c, row in enumerate(inside):
+        yield row * inclusion[full & ~c]
+
+
+def _upward_gap(members: int, inclusion, within=None) -> Optional[tuple[int, int]]:
+    """First (b, b2): b a member inside within (all states by default;
+    members outside it are ignored) and b2 the lowest superset of b inside
+    within that is not a member. One shift-or per state closes the
+    non-members downward (each event with the state passes it on to the
+    event without it, as in _grow_orientation); b is the first reached."""
+    full = len(inclusion) - 1
+    within = full if within is None else within
+    outside = inclusion[within] & ~members
+    below = outside
+    bit = 1
+    while bit <= within:
+        if within & bit:
+            below |= below >> bit & inclusion[full ^ bit]
+        bit <<= 1
+    gap = members & below
+    if not gap:
+        return None
+    b = (gap & -gap).bit_length() - 1
+    cs = outside >> b & inclusion[within & ~b]
+    return b, b | (cs & -cs).bit_length() - 1
+
+
+def _intersection_gap(members: int, inclusion) -> Optional[tuple[int, int]]:
+    """First (a, b): both members, a & b not. The b meeting a in u are
+    u | x with x outside a, so the non-members inside a, times
+    inclusion[comp(a)], cover every b that fails with a."""
+    full = len(inclusion) - 1
+    todo = members
+    while todo:
+        a = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        bad = members & (inclusion[a] & ~members) * inclusion[full & ~a]
+        if bad:
+            return a, (bad & -bad).bit_length() - 1
     return None
 
 
 def _context_gap(rel, gap) -> Optional[tuple[int, int, int]]:
     """First (c, a, b): a gap found in the accepted set of context c."""
-    for c in range(rel.space.size):
-        found = gap(_accepted(rel, c))
+    inclusion = _inclusion_rows(rel.space.n)
+    for c, acc in enumerate(_accepted_by_context(rel.rows, inclusion)):
+        found = gap(acc, inclusion)
         if found:
             return (c, *found)
     return None
@@ -405,115 +416,98 @@ def _gap_verdict(rel, axiom, found):
     return Verdict(axiom, False, _ev(rel.space, *found))
 
 
-def _check_cs(rel):
+def _full_gap(rel, gap):
+    """CS or AND: a gap in the accepted set of the full context."""
+    inclusion = _inclusion_rows(rel.space.n)
+    return gap(_accepted(rel.rows, rel.space.full_mask, inclusion), inclusion)
+
+
+def _additivity_gap(rel, gap) -> Optional[tuple[int, int, int]]:
+    """ADD, TYPE_OR or TYPE_AND over disjoint a, b and disjoint a, c.
+    Adding a's states one at a time takes (b, c) to (a|b, a|c) in steps
+    that are each the one-state case at (x, a'|b, a'|c), a' the states
+    added before; where the ends break the axiom, so does some step, and
+    x < a when a has two states. The first failing a is thus a state x:
+    for each b without x, bit c of moved is x|b >= x|c, and gap(moved,
+    rows[b]) marks every failing c at once."""
     full = rel.space.full_mask
-    return _gap_verdict(rel, "CS", _superset_gap(_accepted(rel, full), full))
+    rows = rel.rows
+    inclusion = _inclusion_rows(rel.space.n)
+    for x in range(rel.space.n):
+        bit = 1 << x
+        lacking = inclusion[full ^ bit]
+        for b in submasks(full ^ bit):
+            bad = gap(rows[b | bit] >> bit & lacking, rows[b]) & lacking
+            if bad:
+                return bit, b, (bad & -bad).bit_length() - 1
+    return None
 
 
-def _check_and(rel):
-    acc = _accepted(rel, rel.space.full_mask)
-    return _gap_verdict(rel, "AND", _intersection_gap(acc))
+def _up_rows(rows) -> list[int]:
+    """Bit x of row a, for x disjoint from a, is a|x > x: bit a of
+    above[x] >> x, transposed. Bits x that meet a mean nothing."""
+    _, above = _strict_parts(rows)
+    return _transpose([row >> x for x, row in enumerate(above)])
 
 
-def _check_ccs(rel):
-    full = rel.space.full_mask
-    found = _context_gap(rel, lambda acc: _superset_gap(acc, full))
-    return _gap_verdict(rel, "CCS", found)
-
-
-def _check_cand(rel):
-    return _gap_verdict(rel, "CAND", _context_gap(rel, _intersection_gap))
-
-
-def _additivity_domain(space):
-    # A disjoint from B and from C; B and C may overlap
-    full = space.full_mask
-    for a in range(space.size):
-        rest = full & ~a
-        for b in submasks(rest):
-            for c in submasks(rest):
-                yield a, b, c
-
-
-def _check_add(rel):
-    for a, b, c in _additivity_domain(rel.space):
-        if rel.w(a | b, a | c) != rel.w(b, c):
-            return Verdict("ADD", False, _ev(rel.space, a, b, c))
-    return Verdict("ADD", True)
-
-
-def _check_type_or(rel):
-    for a, b, c in _additivity_domain(rel.space):
-        if rel.w(b, c) and not rel.w(a | b, a | c):
-            return Verdict("TYPE_OR", False, _ev(rel.space, a, b, c))
-    return Verdict("TYPE_OR", True)
-
-
-def _check_type_and(rel):
-    for a, b, c in _additivity_domain(rel.space):
-        if rel.w(a | b, a | c) and not rel.w(b, c):
-            return Verdict("TYPE_AND", False, _ev(rel.space, a, b, c))
-    return Verdict("TYPE_AND", True)
-
-
-def _weak_gap(rel, axiom: str, grows: bool) -> Verdict:
+def _weak_gap(rel, grows: bool) -> Optional[tuple[int, int, int]]:
     """WEAK_AND when grows (disjoint a, b, c: a|b > b gives a|b|c > b|c),
-    else WEAK_OR (the converse). Bit x of up is a|x > x, so for c
-    disjoint from b, bit c of up >> b is a|b|c > b|c."""
+    else WEAK_OR (the converse). In row a of _up_rows, a WEAK_AND gap is
+    a member b with a superset b|c outside the row, a WEAK_OR gap a
+    non-member b with one inside it."""
     full = rel.space.full_mask
     inclusion = _inclusion_rows(rel.space.n)
-    for a in range(rel.space.size):
+    for a, up in enumerate(_up_rows(rel.rows)):
         free = full & ~a
-        up = sum(1 << x for x in submasks(free) if rel.s(a | x, x))
-        for b in submasks(free):
-            if (up >> b & 1) == grows:
-                bad = (~up if grows else up) >> b & inclusion[free & ~b]
-                if bad:
-                    c = (bad & -bad).bit_length() - 1
-                    return Verdict(axiom, False, _ev(rel.space, a, b, c))
-    return Verdict(axiom, True)
+        found = _upward_gap(up if grows else inclusion[free] & ~up,
+                            inclusion, free)
+        if found:
+            b, sup = found
+            return a, b, sup ^ b
+    return None
 
 
-def _check_self_dual(rel):
+def _self_dual_gap(rel):
     for a, (row, dual) in enumerate(zip(rel.rows, _dual_rows(rel.rows))):
         if row != dual:
             diff = row ^ dual
-            b = (diff & -diff).bit_length() - 1
-            return Verdict("SELF_DUAL", False, _ev(rel.space, a, b))
-    return Verdict("SELF_DUAL", True)
+            return a, (diff & -diff).bit_length() - 1
+    return None
 
 
-def _check_pole(rel, axiom: str, pole: int) -> Verdict:
+def _pole_gap(rel, pole: int):
     """POSS_LIKE (pole empty) or CERT_LIKE (pole full): the first event
     that is equivalent to the pole together with its complement."""
     full = rel.space.full_mask
-    for a in range(rel.space.size):
-        if rel.e(a, pole) and rel.e(full & ~a, pole):
-            return Verdict(axiom, False, _ev(rel.space, a))
-    return Verdict(axiom, True)
+    return next(((a,) for a in range(rel.space.size)
+                 if rel.e(a, pole) and rel.e(full & ~a, pole)), None)
 
 
+# each checker gives the first witness, as masks, or None
 _CHECKERS = {
-    "T": _check_t,
-    "MI": _check_mi,
-    "O": _check_o,
+    "T": lambda rel: _t_gap(rel.rows),
+    "MI": _mi_gap,
+    "O": lambda rel: _o_gap(_strict_parts(rel.rows)[0],
+                            _inclusion_rows(rel.space.n)),
     # a > a would need a >= a and not a >= a: IR holds for every relation
-    "IR": lambda rel: Verdict("IR", True),
-    "Ac": _check_ac,
-    "Qual": _check_qual,
-    "CP": _check_cp,
-    "CS": _check_cs,
-    "AND": _check_and,
-    "CCS": _check_ccs,
-    "CAND": _check_cand,
-    "ADD": _check_add,
-    "TYPE_OR": _check_type_or,
-    "TYPE_AND": _check_type_and,
-    "WEAK_AND": lambda rel: _weak_gap(rel, "WEAK_AND", True),
-    "WEAK_OR": lambda rel: _weak_gap(rel, "WEAK_OR", False),
-    "SELF_DUAL": _check_self_dual,
-    "POSS_LIKE": lambda rel: _check_pole(rel, "POSS_LIKE", 0),
-    "CERT_LIKE": lambda rel: _check_pole(rel, "CERT_LIKE", rel.space.full_mask),
+    "IR": lambda rel: None,
+    "Ac": lambda rel: _ac_gap(*_strict_parts(rel.rows),
+                              _inclusion_rows(rel.space.n)),
+    "Qual": _qual_gap,
+    "CP": lambda rel: next(((a,) for a in range(rel.space.size)
+                            if rel.s(0, a)), None),
+    "CS": lambda rel: _full_gap(rel, _upward_gap),
+    "AND": lambda rel: _full_gap(rel, _intersection_gap),
+    "CCS": lambda rel: _context_gap(rel, _upward_gap),
+    "CAND": lambda rel: _context_gap(rel, _intersection_gap),
+    "ADD": lambda rel: _additivity_gap(rel, xor),
+    "TYPE_OR": lambda rel: _additivity_gap(rel, lambda moved, row: row & ~moved),
+    "TYPE_AND": lambda rel: _additivity_gap(rel, lambda moved, row: moved & ~row),
+    "WEAK_AND": lambda rel: _weak_gap(rel, True),
+    "WEAK_OR": lambda rel: _weak_gap(rel, False),
+    "SELF_DUAL": _self_dual_gap,
+    "POSS_LIKE": lambda rel: _pole_gap(rel, 0),
+    "CERT_LIKE": lambda rel: _pole_gap(rel, rel.space.full_mask),
 }
 
 AXIOMS = tuple(_CHECKERS)
@@ -524,7 +518,7 @@ def check_axiom(rel: ConfidenceRelation, axiom: str) -> Verdict:
         checker = _CHECKERS[axiom]
     except KeyError:
         raise KeyError(f"unknown axiom {axiom!r}; know {sorted(_CHECKERS)}") from None
-    return checker(rel)
+    return _gap_verdict(rel, axiom, checker(rel))
 
 
 def is_acceptance_preorder(rel: ConfidenceRelation) -> tuple[Verdict, ...]:
@@ -587,11 +581,7 @@ def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]
 def strict_order_from_chain(space: StateSpace, chain) -> set[tuple[Event, Event]]:
     """Materialize a descending chain of events as an admissible strict order."""
     masks = [_bits(e) for e in chain]
-    seeds = [
-        (masks[i], masks[j])
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-    ]
+    seeds = [(a, b) for i, a in enumerate(masks) for b in masks[i + 1:]]
     return close_strict_pairs(space, seeds)
 
 
@@ -606,16 +596,18 @@ def accepted_set(rel: ConfidenceRelation, context: Event) -> Kernel:
     accepted events exist but their intersection is empty.
     """
     rel._check(context, context)
-    accepted = _accepted(rel, context.bits)
-    kern = reduce(and_, accepted, rel.space.full_mask)
+    inclusion = _inclusion_rows(rel.space.n)
+    acc = _accepted(rel.rows, context.bits, inclusion)
+    kern = _kernel(acc, inclusion)
     flags = set()
-    if not accepted:
+    if not acc:
         flags.add("no_belief")
     elif kern == 0:
         flags.add("empty_kernel")
     return Kernel(
         context=context,
-        accepted=tuple(Event(rel.space, a) for a in accepted),
+        accepted=tuple(Event(rel.space, a) for a in range(rel.space.size)
+                       if acc >> a & 1),
         kernel=Event(rel.space, kern),
         flags=frozenset(flags),
     )
@@ -624,9 +616,11 @@ def accepted_set(rel: ConfidenceRelation, context: Event) -> Kernel:
 def check_closure(rel: ConfidenceRelation, context: Event) -> Verdict:
     """Is the accepted set closed under supersets and pairwise intersection?"""
     rel._check(context, context)
-    acc = _accepted(rel, context.bits)
-    for detail, found in (("superset", _superset_gap(acc, rel.space.full_mask)),
-                          ("intersection", _intersection_gap(acc))):
+    inclusion = _inclusion_rows(rel.space.n)
+    acc = _accepted(rel.rows, context.bits, inclusion)
+    for detail, gap in (("superset", _upward_gap),
+                        ("intersection", _intersection_gap)):
+        found = gap(acc, inclusion)
         if found:
             return Verdict("closure", False, _ev(rel.space, *found), detail=detail)
     return Verdict("closure", True)
@@ -635,39 +629,43 @@ def check_closure(rel: ConfidenceRelation, context: Event) -> Verdict:
 # ---------------------------------------------------------------------------
 # consequences of the acceptance axioms, checkable per relation
 
-def _kernel_gap(acc: list[int], full: int) -> Optional[tuple[int]]:
-    """(a,) for the first event a that contains the kernel but is not
-    accepted. Every accepted event contains the kernel, so acceptance is
-    exactly containing the kernel iff there is none."""
-    kern = reduce(and_, acc, full)
-    members = set(acc)
-    for sup in submasks(full & ~kern):
-        if kern | sup not in members:
-            return (kern | sup,)
-    return None
+def _kernel(members: int, inclusion) -> int:
+    """The intersection of the member events, full when there are none:
+    the states that no member lacks."""
+    full = len(inclusion) - 1
+    return sum(1 << i for i in range(full.bit_length())
+               if not members & inclusion[full ^ 1 << i])
+
+
+def _kernel_gap(members: int, inclusion) -> Optional[tuple[int]]:
+    """(a,) for the first event a that contains the kernel but is not a
+    member. Every member contains the kernel, so membership is exactly
+    containing the kernel iff there is none."""
+    kern = _kernel(members, inclusion)
+    missing = inclusion[(len(inclusion) - 1) & ~kern] << kern & ~members
+    return ((missing & -missing).bit_length() - 1,) if missing else None
 
 
 def kernel_characterization(rel: ConfidenceRelation) -> Verdict:
     """Accepted exactly = supersets of the kernel (vacuous if nothing accepted)."""
-    full = rel.space.full_mask
-    acc = _accepted(rel, full)
+    inclusion = _inclusion_rows(rel.space.n)
+    acc = _accepted(rel.rows, rel.space.full_mask, inclusion)
     if not acc:
         return Verdict("kernel_characterization", True, detail="no accepted beliefs")
-    return _gap_verdict(rel, "kernel_characterization", _kernel_gap(acc, full))
+    return _gap_verdict(rel, "kernel_characterization", _kernel_gap(acc, inclusion))
 
 
 def conditional_kernel_characterization(rel: ConfidenceRelation) -> Verdict:
     """Same characterization inside every context that is strictly plausible."""
     axiom = "conditional_kernel_characterization"
-    full = rel.space.full_mask
-    for c in range(rel.space.size):
+    inclusion = _inclusion_rows(rel.space.n)
+    for c, acc in enumerate(_accepted_by_context(rel.rows, inclusion)):
         if not rel.s(c, 0):
             continue
-        acc = _accepted(rel, c)
         if not acc:
             return Verdict(axiom, False, _ev(rel.space, c),
                            detail="plausible context with nothing accepted")
-        found = _kernel_gap(acc, full)
+        found = _kernel_gap(acc, inclusion)
         if found:
             return Verdict(axiom, False, _ev(rel.space, c, *found))
     return Verdict(axiom, True)
@@ -690,14 +688,15 @@ def negligibility_chain(rel: ConfidenceRelation) -> Verdict:
 
 
 def plausible_union_growth(rel: ConfidenceRelation) -> Verdict:
-    """B strictly plausible implies A|B strictly above A, for disjoint A."""
+    """B strictly plausible implies A|B strictly above A, for disjoint A.
+    Row b of _up_rows holds bit 0 iff b > 0, and bit a iff b|a > a."""
     full = rel.space.full_mask
-    for b in range(rel.space.size):
-        if not rel.s(b, 0):
-            continue
-        for a in submasks(full & ~b):
-            if not rel.s(a | b, a):
-                return Verdict("plausible_union_growth", False, _ev(rel.space, a, b))
+    inclusion = _inclusion_rows(rel.space.n)
+    for b, up in enumerate(_up_rows(rel.rows)):
+        missing = inclusion[full & ~b] & ~up
+        if up & 1 and missing:
+            a = (missing & -missing).bit_length() - 1
+            return Verdict("plausible_union_growth", False, _ev(rel.space, a, b))
     return Verdict("plausible_union_growth", True)
 
 
@@ -726,5 +725,5 @@ def all_acceptance_preorders(space: StateSpace) -> Iterator[ConfidenceRelation]:
         if any(rows[a] & required[a] != required[a] for a in range(n)):
             continue
         rel = ConfidenceRelation(space, rows)
-        if _t_gap(rows) is None and _check_ac(rel).holds:
+        if _t_gap(rows) is None and check_axiom(rel, "Ac").holds:
             yield rel

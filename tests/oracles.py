@@ -607,6 +607,78 @@ def reference_weak_or(rows):
     return None
 
 
+def _additivity_triples(rows):
+    # a disjoint from b and from c; b and c may overlap
+    full = len(rows) - 1
+    for a in range(full + 1):
+        for b in _ascending_submasks(full & ~a):
+            for c in _ascending_submasks(full & ~a):
+                yield a, b, c
+
+
+def reference_add(rows):
+    for a, b, c in _additivity_triples(rows):
+        if weak_holds(rows, a | b, a | c) != weak_holds(rows, b, c):
+            return a, b, c
+    return None
+
+
+def reference_type_or(rows):
+    for a, b, c in _additivity_triples(rows):
+        if weak_holds(rows, b, c) and not weak_holds(rows, a | b, a | c):
+            return a, b, c
+    return None
+
+
+def reference_type_and(rows):
+    for a, b, c in _additivity_triples(rows):
+        if weak_holds(rows, a | b, a | c) and not weak_holds(rows, b, c):
+            return a, b, c
+    return None
+
+
+def reference_plausible_union_growth(rows):
+    """First (a, b): b strictly above the empty event, a disjoint from b,
+    and not a|b > a; b outer, a inner."""
+    full = len(rows) - 1
+    for b in range(full + 1):
+        if not strict_holds(rows, b, 0):
+            continue
+        for a in _ascending_submasks(full & ~b):
+            if not strict_holds(rows, a | b, a):
+                return a, b
+    return None
+
+
+def reference_qual(rows):
+    n = len(rows)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if (strict_holds(rows, a | b, c) and strict_holds(rows, a | c, b)
+                        and not strict_holds(rows, a, b | c)):
+                    return a, b, c
+    return None
+
+
+def reference_cp(rows):
+    """First event a with the empty event strictly above it."""
+    for a in range(len(rows)):
+        if strict_holds(rows, 0, a):
+            return (a,)
+    return None
+
+
+def reference_pole(rows, pole):
+    """First event equivalent to the pole, its complement too."""
+    full = len(rows) - 1
+    for a in range(full + 1):
+        if all(weak_holds(rows, e, pole) and weak_holds(rows, pole, e)
+               for e in (a, full & ~a)):
+            return (a,)
+    return None
+
+
 def reference_transpose(rows):
     """Bit a of row b when bit b of rows[a] is set."""
     return tuple(

@@ -1,6 +1,8 @@
 import random
 import re
 from collections import Counter
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -38,12 +40,14 @@ from oracles import (
     naive_t,
     reference_ac,
     reference_accepted,
+    reference_add,
     reference_and,
     reference_cand,
     reference_ccs,
     reference_closure,
     reference_condition,
     reference_conditional_kernel_characterization,
+    reference_cp,
     reference_cs,
     reference_dual,
     reference_first_incomparable,
@@ -52,9 +56,14 @@ from oracles import (
     reference_lift_strict,
     reference_mi,
     reference_o,
+    reference_plausible_union_growth,
+    reference_pole,
+    reference_qual,
     reference_self_dual,
     reference_t,
     reference_transpose,
+    reference_type_and,
+    reference_type_or,
     reference_weak_and,
     reference_weak_or,
 )
@@ -449,3 +458,156 @@ def test_strict_part_checkers_match_per_bit_loops():
     for name in ("T", "MI", "O", "Ac", "WEAK_AND", "WEAK_OR", "SELF_DUAL",
                  "complete"):
         assert min(outcomes[name, True], outcomes[name, False]) >= 100, outcomes
+
+
+def _additive_matrices(rng, count):
+    # orders of a sum of small weights, which keep ADD, and half of them
+    # with a weak bit knocked out, which break it at any instance
+    for i in range(count):
+        n = 1 + i % 4
+        size = 1 << n
+        weights = [rng.randrange(4) for _ in range(n)]
+        values = [sum(w for j, w in enumerate(weights) if a >> j & 1)
+                  for a in range(size)]
+        rows = [sum(1 << b for b in range(size) if values[a] >= values[b])
+                for a in range(size)]
+        if i // 4 % 2:
+            rows[rng.randrange(size)] &= ~(1 << rng.randrange(size))
+        yield n, tuple(rows)
+
+
+def test_additivity_family_matches_per_bit_loops():
+    outcomes = Counter()
+    matrices = [*_family_matrices(random.Random(9), 1500, kinds=5),
+                *_additive_matrices(random.Random(10), 400)]
+    for n, rows in matrices:
+        sp = make_space([f"s{i}" for i in range(n)])
+        rel = ConfidenceRelation(sp, rows)
+        for axiom, reference in (("ADD", reference_add),
+                                 ("TYPE_OR", reference_type_or),
+                                 ("TYPE_AND", reference_type_and)):
+            verdict = check_axiom(rel, axiom)
+            assert _bits_of(verdict) == reference(rows), (axiom, rows)
+            assert verdict.holds == (verdict.witness is None)
+            outcomes[axiom, verdict.holds, n > 2] += 1
+        verdict = plausible_union_growth(rel)
+        assert _bits_of(verdict) == reference_plausible_union_growth(rows), rows
+        outcomes["growth", verdict.holds, n > 2] += 1
+    for name in ("ADD", "TYPE_OR", "TYPE_AND", "growth"):
+        assert min(outcomes[name, holds, True] + outcomes[name, holds, False]
+                   for holds in (True, False)) >= 100, outcomes
+        # past two states, where a composite a could come first
+        assert min(outcomes[name, holds, True]
+                   for holds in (True, False)) >= 50, outcomes
+
+
+def _violated(rel, axiom, witness):
+    """Does the witness break its axiom, read through rel.w and rel.s?"""
+    full = rel.space.full_mask
+    W, S = rel.w, rel.s
+
+    def accepted(a, c=full):
+        return S(a & c, full & ~a & c)
+
+    def disjoint(*masks):
+        return sum(masks) == reduce(or_, masks)
+
+    def pole(a, p):
+        return all(W(e, p) and W(p, e) for e in (a, full & ~a))
+
+    return {
+        "T": lambda a, b, c: W(a, b) and W(b, c) and not W(a, c),
+        "MI": lambda a, b: a & ~b == 0 and not W(b, a),
+        "O": lambda a, a2, b, b2: (S(a, b) and a & ~a2 == 0 and b2 & ~b == 0
+                                   and not S(a2, b2)),
+        "IR": lambda a: S(a, a),
+        "Ac": lambda a, b, c: (disjoint(a, b, c) and S(a | b, c)
+                               and S(a | c, b) and not S(a, b | c)),
+        "Qual": lambda a, b, c: S(a | b, c) and S(a | c, b) and not S(a, b | c),
+        "CP": lambda a: S(0, a),
+        "CS": lambda a, b: accepted(a) and a & ~b == 0 and not accepted(b),
+        "AND": lambda a, b: accepted(a) and accepted(b) and not accepted(a & b),
+        "CCS": lambda c, a, b: (accepted(a, c) and a & ~b == 0
+                                and not accepted(b, c)),
+        "CAND": lambda c, a, b: (accepted(a, c) and accepted(b, c)
+                                 and not accepted(a & b, c)),
+        "ADD": lambda a, b, c: (disjoint(a, b) and disjoint(a, c)
+                                and W(a | b, a | c) != W(b, c)),
+        "TYPE_OR": lambda a, b, c: (disjoint(a, b) and disjoint(a, c)
+                                    and W(b, c) and not W(a | b, a | c)),
+        "TYPE_AND": lambda a, b, c: (disjoint(a, b) and disjoint(a, c)
+                                     and W(a | b, a | c) and not W(b, c)),
+        "WEAK_AND": lambda a, b, c: (disjoint(a, b, c) and S(a | b, b)
+                                     and not S(a | b | c, b | c)),
+        "WEAK_OR": lambda a, b, c: (disjoint(a, b, c) and S(a | b | c, b | c)
+                                    and not S(a | b, b)),
+        "SELF_DUAL": lambda a, b: W(a, b) != W(full & ~b, full & ~a),
+        "POSS_LIKE": lambda a: pole(a, 0),
+        "CERT_LIKE": lambda a: pole(a, full),
+    }[axiom](*witness)
+
+
+_REFERENCES = {
+    "T": reference_t, "MI": reference_mi, "O": reference_o,
+    "Ac": reference_ac, "Qual": reference_qual, "CP": reference_cp,
+    "CS": reference_cs, "AND": reference_and, "CCS": reference_ccs,
+    "CAND": reference_cand, "ADD": reference_add,
+    "TYPE_OR": reference_type_or, "TYPE_AND": reference_type_and,
+    "WEAK_AND": reference_weak_and, "WEAK_OR": reference_weak_or,
+    "SELF_DUAL": reference_self_dual,
+    "POSS_LIKE": lambda rows: reference_pole(rows, 0),
+    "CERT_LIKE": lambda rows: reference_pole(rows, len(rows) - 1),
+}
+
+
+def _check_every_axiom(rel):
+    for axiom in AXIOMS:
+        verdict = check_axiom(rel, axiom)
+        assert verdict.holds == (verdict.witness is None), (axiom, rel.rows)
+        if axiom in _REFERENCES:
+            assert _bits_of(verdict) == _REFERENCES[axiom](rel.rows), (
+                axiom, rel.rows)
+        if not verdict.holds:
+            assert _violated(rel, axiom, _bits_of(verdict)), (axiom, rel.rows)
+        yield axiom, verdict
+
+
+def test_every_axiom_at_one_and_two_states(s2):
+    s1 = make_space(["s1"])
+    rng = random.Random(11)
+    relations = [ConfidenceRelation(s1, (r0, r1))
+                 for r0 in range(4) for r1 in range(4)]
+    relations += [ConfidenceRelation(s2, tuple(rng.randrange(16)
+                                               for _ in range(4)))
+                  for _ in range(400)]
+    relations += list(all_acceptance_preorders(s2))
+    outcomes = Counter()
+    for rel in relations:
+        for axiom, verdict in _check_every_axiom(rel):
+            outcomes[axiom, verdict.holds] += 1
+    # IR holds for every relation, and Ac, AND and CAND need three states
+    # to fail; each other axiom both holds and fails
+    never_fail = {"IR", "Ac", "AND", "CAND"}
+    assert not any(outcomes[axiom, False] for axiom in never_fail), outcomes
+    assert min(outcomes[axiom, holds] for axiom in AXIOMS
+               if axiom not in never_fail
+               for holds in (True, False)) >= 10, outcomes
+
+
+def test_witnesses_led_by_the_full_event(s2):
+    # each first witness starts at the full event, where nothing is left
+    # outside it: a one-state space for the additivity family, and two
+    # states for O (full > {s1} but not full > {}) and MI (full >= full
+    # missing)
+    s1 = make_space(["s1"])
+    cases = [
+        (ConfidenceRelation(s1, (0b01, 0b01)), ("ADD", "TYPE_OR")),
+        (ConfidenceRelation(s1, (0b00, 0b11)), ("ADD", "TYPE_AND")),
+        (ConfidenceRelation(s2, (0b1111, 0b0111, 0b0111, 0b1111)), ("O",)),
+        (ConfidenceRelation(s2, (0b0001, 0b0011, 0b0101, 0b0111)), ("MI",)),
+    ]
+    for rel, axioms in cases:
+        verdicts = dict(_check_every_axiom(rel))
+        for axiom in axioms:
+            witness = _bits_of(verdicts[axiom])
+            assert witness and witness[0] == rel.space.full_mask, (axiom, witness)
