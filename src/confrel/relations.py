@@ -98,7 +98,7 @@ class ConfidenceRelation:
             raise SpaceMismatch("event from a different space")
 
     def is_complete(self) -> bool:
-        return _first_incomparable(self.rows) is None
+        return _first_incomparable(self.rows, _transpose(self.rows)) is None
 
     def weak_pairs(self) -> Iterator[tuple[Event, Event]]:
         for a in range(self.space.size):
@@ -194,10 +194,11 @@ def _strict_parts(rows) -> tuple[list[int], list[int]]:
             [c & ~r for r, c in zip(rows, cols)])
 
 
-def _first_incomparable(rows) -> Optional[tuple[int, int]]:
-    """First (a, b), a < b, with neither a >= b nor b >= a."""
+def _first_incomparable(rows, cols) -> Optional[tuple[int, int]]:
+    """First (a, b), a < b, with neither a >= b nor b >= a; cols is the
+    transpose of rows."""
     full = (1 << len(rows)) - 1
-    for a, (row, col) in enumerate(zip(rows, _transpose(rows))):
+    for a, (row, col) in enumerate(zip(rows, cols)):
         missing = (full & ~(row | col)) >> a >> 1
         if missing:
             return a, a + (missing & -missing).bit_length()

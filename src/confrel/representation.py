@@ -3,12 +3,15 @@
 A constrained relation carries the usual weak matrix plus a matrix of
 forbidden weak edges; forbidding the reverse edge of a weak one is what
 makes a strict preference a durable commitment that closure steps can
-build on. Closing works on bit rows in passes: transitivity on the weak
-rows, orientation growth (O) on the committed strict pairs by shift-or
-passes over the subset lattice, and the acceptance axiom, which commits
-all c per disjoint (a, b) by shift masks rather than one disjoint triple
-at a time, until a pass changes nothing. A pass that leaves an edge both
-weak and forbidden yields a Contradiction value carrying that pair.
+build on. One closure engine, _close, works on a state that is closed
+except for a list of seed commitments. It draws only what each new
+strict pair adds: one transitive step on the weak rows, the pair's
+orientation (O) rectangle, and a rescan of the acceptance axiom on just
+the strict rows that grew, whose commits seed the next round. One scan
+for an edge both weak and forbidden ends it; such an edge yields a
+Contradiction value carrying that pair. ac_close seeds the engine with
+every committed pair of its input; decompose keeps its states closed and
+seeds it with each new commitment alone.
 
 Decomposition branches on the first incomparable pair, committing each
 orientation in turn and discarding contradictory branches; surviving
@@ -19,19 +22,20 @@ weak matrices, which is sound when all members agree on equivalences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from .core import DECOMPOSE_MAX, Event, StateSpace
+from .core import DECOMPOSE_MAX, Event, StateSpace, submasks
 from .errors import NotAcceptance, SharedEquivalenceViolated, TooLarge
-from .relations import (ConfidenceRelation, _ac_steps, _first_incomparable,
-                        _grow_orientation, _inclusion_rows, _strict_parts,
-                        _transitive_close, _transpose, is_acceptance_preorder)
+from .relations import (ConfidenceRelation, _first_incomparable,
+                        _inclusion_rows, _strict_parts, _transitive_close,
+                        _transpose, is_acceptance_preorder)
 
 
 @dataclass(frozen=True)
 class Contradiction:
     """pair is (A, B) for an edge A >= B both weak and forbidden: from
-    ac_close the first in bitmask order when the closing pass ends, from
+    ac_close the first in bitmask order at the closure's fixpoint, the
+    least state closed under its rules in whatever order they ran; from
     commit_strict's own commitment the edge it would put on both sides."""
 
     pair: tuple[Event, Event]
@@ -70,50 +74,112 @@ def _commit(rows, forbidden, x: int, y: int) -> Optional[tuple[int, int]]:
     return None
 
 
+def _bits_of(mask: int) -> Iterator[int]:
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _close(state, seeds, inclusion, forbidden=None) -> Optional[tuple[int, int]]:
+    """Close a state that is closed except for the seed strict pairs, in
+    place; return the first edge (a, b) in bitmask order that is both
+    weak and forbidden at the fixpoint, or None.
+
+    state is (rows, cols, strict, above): weak rows holding monotony and
+    closed under transitivity, and their transpose; the committed pairs
+    by row (bit b of strict[a]: a > b) and by column (bit a of above[b]),
+    each forbidden in reverse. forbidden, when given, holds forbidden
+    edges beyond those; such an edge's reverse pair turns committed once
+    it goes weak.
+
+    Each new pair x > y goes weak with one transitive step (every row
+    holding x gains rows[y]) and is committed with its O rectangle,
+    every superset of x over every subset of y, one row OR per subset
+    and per superset. An Ac triple (a, b, c) can only become live when
+    the later of its premises a|b > c and a|c > b arrives, and the two
+    differ only by swapping b and c, so a round rescans just the strict
+    rows r that grew: each a within r against the new bits c outside r,
+    committing a > b|c for b = r ^ a wherever a|c > b. Those commits seed
+    the next round; the closure ends when a round commits nothing.
+    """
+    rows, cols, strict, above = state
+    full = len(rows) - 1
+    # bit s of loose[r]: s >= r forbidden while r >= s is not yet weak
+    loose = (None if forbidden is None else
+             [c & ~r for r, c in zip(rows, _transpose(forbidden))])
+    seeds = list(seeds)
+    while seeds:
+        grown = {}
+        # a loose edge gone weak appends its pair to the list being read
+        for x, y in seeds:
+            if not rows[x] >> y & 1:
+                reach, add = cols[x], rows[y]
+                for r in _bits_of(reach):
+                    new = add & ~rows[r]
+                    if new:
+                        rows[r] |= new
+                        if loose and new & loose[r]:
+                            seeds.extend((r, s) for s in _bits_of(new & loose[r]))
+                for s in _bits_of(add):
+                    cols[s] |= reach
+            if strict[x] >> y & 1:
+                continue
+            up = inclusion[full ^ x] << x
+            for y2 in submasks(y):
+                above[y2] |= up
+            down = inclusion[y]
+            for s in submasks(full ^ x):
+                new = down & ~strict[x | s]
+                if new:
+                    strict[x | s] |= new
+                    grown[x | s] = grown.get(x | s, 0) | new
+        seeds = []
+        for r, new in grown.items():
+            new &= inclusion[full ^ r]
+            if new:
+                for a in submasks(r):
+                    b = r ^ a
+                    # bit c of above[b] >> a is a|c > b, of strict[a] >> b
+                    # a > b|c
+                    cs = new & above[b] >> a & ~(strict[a] >> b)
+                    seeds.extend((a, b | c) for c in _bits_of(cs))
+    for a, row in enumerate(rows):
+        bad = row & (above[a] if forbidden is None else above[a] | forbidden[a])
+        if bad:
+            return a, (bad & -bad).bit_length() - 1
+    return None
+
+
 def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradiction]:
     """Close under monotony, transitivity, orientation growth for committed
     strict pairs, and the acceptance axiom; fixpoint or Contradiction.
 
-    The inclusion edges (monotony) go in once. Each pass then closes the
-    weak rows under transitivity, grows the committed part of forbidden
-    (bit x of forbidden[y] with x >= y weak: x > y) under O, and commits
-    a > b|c for each disjoint (a, b), all c at once: every c disjoint
-    from both with a|b > c and a|c > b committed, read from the committed
-    matrix (above) and its transpose (strict) as _ac_steps reaches them.
-    Commits for different c of one (a, b) never enable each other, so
-    this leaves the state that committing triple by triple would.
-    Passes repeat until nothing changes; one clash check ends each pass.
+    A committed pair is a weak edge x >= y whose reverse is forbidden.
+    The inclusion edges (monotony) go in with one transitive closure;
+    then every committed pair seeds _close, from a state with no strict
+    pairs yet, and the engine's worklist runs to the least state closed
+    under all four rules. A forbidden edge whose reverse is not yet weak
+    stays as it is until that reverse goes weak. The Contradiction
+    carries the first edge in bitmask order that is both weak and
+    forbidden in that least state.
     """
     space = cr.space
     inclusion = _inclusion_rows(space.n)
     rows = [r | i for r, i in zip(cr.rows, inclusion)]
-    forbidden = list(cr.forbidden)
-    before = None
-    while rows + forbidden != before:
-        before = rows + forbidden
-        _transitive_close(rows)
-        # O grows only the forbidden reverse edges: the weak edge under
-        # a grown x' > y' follows from monotony and transitivity
-        above = [f & w for f, w in zip(forbidden, _transpose(rows))]
-        _grow_orientation(above, inclusion)
-        forbidden = [f | c for f, c in zip(forbidden, above)]
-        strict = _transpose(above)
-        for a, b, cs in _ac_steps(strict, above, inclusion):
-            # each c is disjoint from b, so bit b|c of row a is bit c of
-            # cs << b
-            rows[a] |= cs << b
-            strict[a] |= cs << b
-            while cs:
-                c = (cs & -cs).bit_length() - 1
-                forbidden[b | c] |= 1 << a
-                above[b | c] |= 1 << a
-                cs &= cs - 1
-        for a, row in enumerate(rows):
-            bad = row & forbidden[a]
-            if bad:
-                b = (bad & -bad).bit_length() - 1
-                return Contradiction((Event(space, a), Event(space, b)))
-    return ConstrainedRelation(space, tuple(rows), tuple(forbidden))
+    _transitive_close(rows)
+    # bit y of committed[x]: x > y; a pair comes before the pairs its O
+    # rectangle covers, which have a larger x or a smaller y
+    committed = [r & c for r, c in zip(rows, _transpose(cr.forbidden))]
+    seeds = [(x, y) for x, row in enumerate(committed)
+             for y in sorted(_bits_of(row), reverse=True)]
+    above = [0] * space.size
+    clash = _close((rows, _transpose(rows), [0] * space.size, above), seeds,
+                   inclusion, cr.forbidden)
+    if clash is not None:
+        return Contradiction((Event(space, clash[0]), Event(space, clash[1])))
+    return ConstrainedRelation(
+        space, tuple(rows),
+        tuple(f | c for f, c in zip(cr.forbidden, above)))
 
 
 def commit_strict(cr: ConstrainedRelation, a: Event, b: Event
@@ -132,14 +198,10 @@ class Family:
     members: tuple[ConfidenceRelation, ...]
 
 
-def _equivalence_pairs(rows) -> frozenset:
-    n = len(rows)
-    return frozenset(
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if rows[a] >> b & 1 and rows[b] >> a & 1
-    )
+def _equivalences(rows, cols) -> tuple[int, ...]:
+    """Bit b of row a: a and b are equivalent; cols is the transpose of
+    rows."""
+    return tuple(r & c for r, c in zip(rows, cols))
 
 
 def decompose(rel: ConfidenceRelation, mode: str = "all",
@@ -169,29 +231,37 @@ def decompose(rel: ConfidenceRelation, mode: str = "all",
     if isinstance(root, Contradiction):
         raise AssertionError(f"closure of an acceptance preorder clashed: {root}")
 
-    def explore(state: ConstrainedRelation) -> list[tuple[int, ...]]:
-        pick = _first_incomparable(state.rows)
+    # every forbidden edge of a closed decomposition state is committed,
+    # so a state is its weak rows, their transpose, and the strict part
+    # by row and by column
+    inclusion = _inclusion_rows(space.n)
+    leaves = set()
+    todo = [(list(root.rows), _transpose(root.rows),
+             _transpose(root.forbidden), list(root.forbidden))]
+    while todo:
+        state = todo.pop()
+        pick = _first_incomparable(state[0], state[1])
         if pick is None:
-            return [state.rows]
+            leaves.add(tuple(state[0]))
+            continue
         a, b = pick
-        leaves = []
-        for x, y in ((a, b), (b, a)):
-            branch = commit_strict(state, Event(space, x), Event(space, y))
-            if isinstance(branch, Contradiction):
-                continue
-            leaves.extend(explore(branch))
-        return leaves
+        for seed in ((a, b), (b, a)):
+            branch = tuple(list(part) for part in state)
+            if _close(branch, [seed], inclusion) is None:
+                todo.append(branch)
 
-    members = sorted(set(explore(root)))
-    base_equiv = _equivalence_pairs(rel.rows)
+    members = sorted(leaves)
+    base_equiv = _equivalences(rel.rows, _transpose(rel.rows))
+    full = (1 << space.size) - 1
     relations = []
     for rows in members:
         member = ConfidenceRelation(space, rows)
         if not all(v.holds for v in is_acceptance_preorder(member)):
             raise AssertionError("completion lost the acceptance axioms")
-        if not member.is_complete():
+        cols = _transpose(rows)
+        if any(r | c != full for r, c in zip(rows, cols)):
             raise AssertionError("decomposition leaf is not complete")
-        if _equivalence_pairs(rows) != base_equiv:
+        if _equivalences(rows, cols) != base_equiv:
             raise AssertionError("completion changed the equivalences")
         relations.append(member)
     return Family(space, tuple(relations))
@@ -202,12 +272,17 @@ def recompose(family: Family) -> ConfidenceRelation:
     if not family.members:
         raise ValueError("cannot recompose an empty family")
     space = family.space
-    equivs = [_equivalence_pairs(m.rows) for m in family.members]
-    for i in range(1, len(equivs)):
-        if equivs[i] != equivs[0]:
-            diff = sorted(equivs[i] ^ equivs[0])[0]
-            pair = (Event(space, diff[0]), Event(space, diff[1]))
-            raise SharedEquivalenceViolated(pair, (0, i))
+    first = _equivalences(family.members[0].rows,
+                          _transpose(family.members[0].rows))
+    for i, member in enumerate(family.members[1:], 1):
+        mine = _equivalences(member.rows, _transpose(member.rows))
+        # the first (a, b), a < b, on which member i and member 0 differ
+        for a, (row, row0) in enumerate(zip(mine, first)):
+            diff = (row ^ row0) >> a >> 1
+            if diff:
+                pair = (Event(space, a),
+                        Event(space, a + (diff & -diff).bit_length()))
+                raise SharedEquivalenceViolated(pair, (0, i))
     rows = list(family.members[0].rows)
     for member in family.members[1:]:
         for a in range(space.size):

@@ -451,7 +451,7 @@ def test_strict_part_checkers_match_per_bit_loops():
         # ignores it
         diagonal = tuple(row | 1 << a for a, row in enumerate(rows))
         pick = reference_first_incomparable(diagonal)
-        assert _first_incomparable(rows) == pick, rows
+        assert _first_incomparable(rows, _transpose(rows)) == pick, rows
         assert rel.is_complete() == (pick is None), rows
         outcomes["complete", pick is None] += 1
         assert constrain(rel).forbidden == reference_forbidden(rows), rows

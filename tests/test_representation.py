@@ -24,6 +24,7 @@ from confrel import (
     representation,
     strict_order_from_chain,
 )
+from confrel.relations import _inclusion_rows, _transpose
 from conftest import inclusion_relation
 from oracles import (
     linear_acceptance_rows,
@@ -142,6 +143,25 @@ def test_recompose_needs_shared_equivalences(s2):
     assert err.value.members == (0, 1)
 
 
+def test_recompose_witness_is_first_differing_equivalence(s3):
+    # member 0 ties {s1}, {s1,s3} and {s2,s3}; member 2 ties {s2} with
+    # {s3} instead: the differing pairs are (1, 5), (1, 6), (5, 6) and
+    # (2, 4), and the first in (a, b) order has neither the lowest b nor
+    # the highest b of its row
+    def by_values(values):
+        return ConfidenceRelation(s3, tuple(
+            sum(1 << b for b in range(8) if values[a] >= values[b])
+            for a in range(8)))
+
+    first = by_values([0, 1, 2, 3, 4, 1, 1, 7])
+    other = by_values([0, 1, 2, 3, 2, 5, 6, 7])
+    with pytest.raises(SharedEquivalenceViolated) as err:
+        recompose(Family(s3, (first, first, other)))
+    a, b = err.value.pair
+    assert (a.bits, b.bits) == (1, 5)
+    assert err.value.members == (0, 2)
+
+
 def test_recompose_rejects_empty_family(s2):
     with pytest.raises(ValueError):
         recompose(Family(s2, ()))
@@ -150,30 +170,56 @@ def test_recompose_rejects_empty_family(s2):
 # -- the closure engine against its item-by-item reference -------------------
 
 def recorded_closures(monkeypatch, run):
-    """(input, result) of every ac_close call that run() makes."""
+    """(given, closed) of every _close call that run() makes. given is
+    the call's state as rows and forbidden rows with the seed commitments
+    applied one at a time, as commit_strict would, and the pair that
+    clashed doing so or None; closed is the engine's fixpoint as rows and
+    forbidden rows, or None when it reported a clash."""
     calls = []
-    real = representation.ac_close
+    real = representation._close
 
-    def record(cr):
-        calls.append((cr, real(cr)))
-        return calls[-1][1]
+    def record(state, seeds, inclusion, forbidden=None):
+        rows, cols, strict, above = state
+        assert cols == _transpose(rows) and strict == _transpose(above)
+        rows, forbidden_in = list(rows), list(above)
+        if forbidden is not None:
+            forbidden_in = [f | a for f, a in zip(forbidden, above)]
+        clash = None
+        for x, y in seeds:
+            # forbid y >= x, then require x >= y
+            if rows[y] >> x & 1 or forbidden_in[x] >> y & 1:
+                clash = (x, y)
+                break
+            forbidden_in[y] |= 1 << x
+            rows[x] |= 1 << y
+        result = real(state, seeds, inclusion, forbidden)
+        rows_out, cols_out, strict_out, above_out = state
+        assert cols_out == _transpose(rows_out)
+        assert strict_out == _transpose(above_out)
+        closed = None
+        if result is None:
+            forbidden_out = (above_out if forbidden is None else
+                             [f | a for f, a in zip(forbidden, above_out)])
+            closed = (tuple(rows_out), tuple(forbidden_out))
+        calls.append(((tuple(rows), tuple(forbidden_in), clash), closed))
+        return result
 
-    monkeypatch.setattr(representation, "ac_close", record)
+    monkeypatch.setattr(representation, "_close", record)
     run()
     monkeypatch.undo()
     return calls
 
 
-def agrees_with_reference(cr, closed):
-    """closed, what ac_close(cr) gave, is reference_ac_close's fixpoint,
-    or both contradict; returns whether they contradicted."""
-    rows, forbidden, clash = reference_ac_close(cr.rows, cr.forbidden,
-                                                cr.space.n)
+def agrees_with_reference(n, given, closed):
+    """closed, what the engine gave for given, is reference_ac_close's
+    fixpoint, or both contradict; returns whether they contradicted."""
+    rows, forbidden, clash = given
+    if clash is None:
+        rows, forbidden, clash = reference_ac_close(rows, forbidden, n)
     if clash is not None:
-        assert isinstance(closed, Contradiction), (cr, clash)
+        assert closed is None, (given, clash)
         return True
-    assert not isinstance(closed, Contradiction), (cr, closed)
-    assert (closed.rows, closed.forbidden) == (rows, forbidden), cr
+    assert closed == (rows, forbidden), given
     return False
 
 
@@ -192,9 +238,9 @@ def test_ac_close_matches_reference_on_decompositions(monkeypatch):
         relations.append(lift_strict(space, close_strict_pairs(space, [seed])))
     count = 0
     for rel in relations:
-        for cr, closed in recorded_closures(monkeypatch,
-                                            lambda: decompose(rel)):
-            agrees_with_reference(cr, closed)
+        for given, closed in recorded_closures(monkeypatch,
+                                               lambda: decompose(rel)):
+            agrees_with_reference(rel.space.n, given, closed)
             count += 1
     assert count > 4000
 
@@ -225,9 +271,53 @@ def test_ac_close_matches_reference_on_commit_chains(monkeypatch):
                     return
                 state = step
 
-        for cr, closed in recorded_closures(monkeypatch, chain):
-            outcomes.append(agrees_with_reference(cr, closed))
+        for given, closed in recorded_closures(monkeypatch, chain):
+            outcomes.append(agrees_with_reference(space.n, given, closed))
     assert len(outcomes) > 200
+
+
+def test_incremental_close_matches_commit_strict_on_any_pair():
+    # the engine seeded with one pair on a closed state, as decompose
+    # calls it, against commit_strict, which closes from scratch; the
+    # pairs include reversed commitments, a > a and decided pairs
+    rng = random.Random(14)
+    clashes = fixpoints = kinds = 0
+    for _ in range(60):
+        space = make_space([f"s{i}" for i in range(1, rng.choice((2, 3, 4)) + 1)])
+        size = space.size
+        inclusion = _inclusion_rows(space.n)
+        state = ac_close(constrain(inclusion_relation(space)))
+        for _ in range(10):
+            rows, forbidden = state.rows, state.forbidden
+            pairs = {
+                "open": [(a, b) for a in range(size) for b in range(size)
+                         if not (rows[a] >> b & 1 or rows[b] >> a & 1)],
+                "reversed": [(b, a) for a in range(size) for b in range(size)
+                             if state.committed_strict(a, b)],
+                "self": [(a, a) for a in range(size)],
+                "decided": [(a, b) for a in range(size) for b in range(size)
+                            if rows[a] >> b & 1],
+            }
+            kind = rng.choice([k for k, v in pairs.items() if v])
+            a, b = rng.choice(pairs[kind])
+            expected = commit_strict(state, space.event_from_bits(a),
+                                     space.event_from_bits(b))
+            engine = (list(rows), _transpose(rows), _transpose(forbidden),
+                      list(forbidden))
+            clash = representation._close(engine, [(a, b)], inclusion)
+            kinds += kind != "open"
+            if isinstance(expected, Contradiction):
+                assert clash is not None, (state, a, b)
+                clashes += 1
+                continue
+            assert clash is None, (state, a, b)
+            assert (tuple(engine[0]), tuple(engine[3])) == (
+                expected.rows, expected.forbidden), (state, a, b)
+            fixpoints += 1
+            state = expected
+    assert clashes >= 50
+    assert fixpoints >= 100
+    assert kinds >= 200
 
 
 def test_ac_close_matches_reference_on_hand_built_relations():
@@ -250,13 +340,36 @@ def test_ac_close_matches_reference_on_hand_built_relations():
             forbidden = [f & rng.getrandbits(size) for f in forbidden]
         cr = ConstrainedRelation(space, tuple(rows), tuple(forbidden))
         closed = ac_close(cr)
-        outcomes.append(agrees_with_reference(cr, closed))
+        outcomes.append(agrees_with_reference(
+            space.n, (cr.rows, cr.forbidden, None),
+            None if isinstance(closed, Contradiction)
+            else (closed.rows, closed.forbidden)))
         if not outcomes[-1]:
             uncommitted += any(
                 closed.forbidden[y] >> x & 1 and not closed.rows[x] >> y & 1
                 for x in range(size) for y in range(size))
     assert 50 < sum(outcomes) < 350
     assert uncommitted > 20
+
+
+def test_close_commits_a_forbidden_edge_once_its_reverse_goes_weak(s3):
+    # {s2} >= {s1} is weak and {s3} >= {s2} forbidden; committing
+    # {s1} > {s3} makes {s2} >= {s3} weak, so {s2} > {s3} is committed
+    # too, with its own O rectangle
+    inclusion = _inclusion_rows(3)
+    rows = list(inclusion)
+    for a in (2, 3, 6, 7):
+        rows[a] |= rows[1]
+    forbidden = [0] * 8
+    forbidden[4] = 1 << 2
+    state = (rows, _transpose(rows), [0] * 8, [0] * 8)
+    assert representation._close(state, [(1, 4)], inclusion, forbidden) is None
+    closed = (tuple(rows), tuple(f | a for f, a in zip(forbidden, state[3])))
+    given = (tuple(r | (1 << 4 if a == 1 else 0) for a, r in enumerate(rows)),
+             tuple(f | (1 << 1 if a == 4 else 0)
+                   for a, f in enumerate(forbidden)), None)
+    assert not agrees_with_reference(3, given, closed)
+    assert closed[1][4] >> 6 & 1  # {s2,s3} > {s3}, from {s2} > {s3} alone
 
 
 def test_close_strict_pairs_matches_reference():
