@@ -242,7 +242,7 @@ def _cmd_entail(args):
 def _cmd_decompose(args):
     rel = fileio.load_relation(args.relation, args.max_states)
     cap = DECOMPOSE_MAX if args.max_states is None else args.max_states
-    family = representation.decompose(rel, mode=args.mode, max_states=cap)
+    family = representation.decompose(rel, max_states=cap)
     inputs = {"files": {args.relation: _sha256(args.relation)},
               "mode": args.mode}
     result = {"members": len(family.members),
@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_sub("decompose", "complete relations refining a partial one")
     p.add_argument("relation")
-    p.add_argument("--mode", choices=("all", "maximal"), default="all")
+    p.add_argument("--mode", choices=("all", "maximal"), default="all",
+                   help="echoed in the report; both give the same family")
     p.set_defaults(handler=_cmd_decompose)
 
     p = add_sub("recompose", "intersect a family of relations")

@@ -162,9 +162,14 @@ class Event:
         return "{%s}" % ",".join(self.names())
 
 
-def _bits(x) -> int:
-    """The mask of an Event, or the value itself when it is already a mask."""
-    return x.bits if isinstance(x, Event) else x
+def _bits(x, space: StateSpace) -> int:
+    """The mask of an Event of space, or the value itself when it is
+    already a mask; an Event of another space raises SpaceMismatch."""
+    if isinstance(x, Event):
+        if x.space != space:
+            raise SpaceMismatch("event from a different space")
+        return x.bits
+    return x
 
 
 def submasks(mask: int) -> Iterator[int]:

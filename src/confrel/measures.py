@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 from .core import Event, StateSpace, _bits, submasks
 from .errors import KindMismatch, ZeroDenominator
-from .relations import ConfidenceRelation, _ac_gap, _inclusion_rows, _strict_parts
+from .relations import (ConfidenceRelation, _ac_gap, _accepted, _inclusion_rows,
+                        _kernel, _strict_parts)
 
 PROBABILITY = "probability"
 POSSIBILITY = "possibility"
@@ -98,7 +99,7 @@ def possibility(space: StateSpace, values: Sequence) -> Measure:
 def mass(space: StateSpace, focal) -> Measure:
     pairs = []
     for key, v in focal.items() if hasattr(focal, "items") else focal:
-        pairs.append((_bits(key), parse_rational(v)))
+        pairs.append((_bits(key, space), parse_rational(v)))
     pairs.sort()
     if any(m == 0 for m, _ in pairs):
         raise ValueError("the empty event cannot be focal")
@@ -296,46 +297,29 @@ def brute_force_ct(values: Sequence) -> bool:
     return _ac_gap(strict, above, _inclusion_rows(n)) is None
 
 
-def _kernel_context_ok(n: int, tab: Sequence) -> bool:
-    # in every context, whenever something is accepted the intersection of
-    # everything accepted must itself be accepted
-    for c in range(1 << n):
-        kern = c
-        any_acc = False
-        for x in submasks(c):
-            if tab[x] > tab[c & ~x]:
-                any_acc = True
-                kern &= x
-        if any_acc and not tab[kern] > tab[c & ~kern]:
-            return False
-    return True
-
-
 def classify_acceptance_belief(measure: Measure) -> str:
     """Which structural family makes both the belief and the plausibility
     order acceptance relations. Returns one of singleton_kernel,
     nested_over_kernel, twin_singletons, or none.
 
-    The shape is read off the belief order's kernel; the shapes are
-    necessary but not sufficient on four or more states, so the per
-    context kernel condition is verified on both tables as well.
+    The shape is read off the kernel of the belief order's accepted
+    events. The shapes are necessary but not sufficient on four or more
+    states, so both orders are checked for Ac as well (brute_force_ct);
+    on these monotone tables, Ac says that in every context where
+    something is accepted, the kernel is accepted too.
     """
     _require(measure, MASS)
     n = measure.space.n
     full = measure.space.full_mask
     _, weights = _int_weights(measure)
     bel = _bel_int(n, weights)
-    pl = _pl_int(n, weights)
     focal = dict(weights)
 
-    kern = full
-    any_acc = False
-    for a in range(1 << n):
-        if bel[a] > bel[full & ~a]:
-            any_acc = True
-            kern &= a
-    if not any_acc:
+    inclusion = _inclusion_rows(n)
+    acc = _accepted(_table_rows(bel), full, inclusion)
+    if not acc:
         return "none"
+    kern = _kernel(acc, inclusion)
 
     label = "none"
     if kern.bit_count() == 1 and kern in focal and focal[kern] > bel[full & ~kern]:
@@ -353,7 +337,7 @@ def classify_acceptance_belief(measure: Measure) -> str:
             label = "twin_singletons"
     if label == "none":
         return "none"
-    if not (_kernel_context_ok(n, bel) and _kernel_context_ok(n, pl)):
+    if not (brute_force_ct(bel) and brute_force_ct(_pl_int(n, weights))):
         return "none"
     return label
 

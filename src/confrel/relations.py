@@ -66,6 +66,8 @@ class ConfidenceRelation:
     def __post_init__(self):
         if len(self.rows) != self.space.size:
             raise ValueError("need one row per event")
+        if min(self.rows) < 0 or max(self.rows) >> self.space.size:
+            raise ValueError("a row holds a bit beyond the space's events")
 
     # raw-mask accessors used by the checkers
     def w(self, a: int, b: int) -> bool:
@@ -128,7 +130,7 @@ class ConfidenceRelation:
     def from_weak_pairs(cls, space: StateSpace, pairs) -> "ConfidenceRelation":
         rows = [0] * space.size
         for a, b in pairs:
-            rows[_bits(a)] |= 1 << _bits(b)
+            rows[_bits(a, space)] |= 1 << _bits(b, space)
         return cls(space, tuple(rows))
 
 
@@ -542,7 +544,7 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
     """
     strict = [0] * space.size  # bit b of strict[a]: a > b
     for a, b in strict_pairs:
-        strict[_bits(a)] |= 1 << _bits(b)
+        strict[_bits(a, space)] |= 1 << _bits(b, space)
 
     for a, row in enumerate(strict):
         if row >> a & 1:
@@ -564,16 +566,17 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
 def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]]:
     """Least superset of the pairs closed under transitivity and the O
     axiom (growing the left side, shrinking the right side); the result
-    is what lift_strict can accept, unless the seeds force a cycle."""
+    is what lift_strict can accept, unless the seeds force a cycle.
+
+    One O growth, then one transitive closure: the closure of an O-closed
+    relation stays O-closed, since from a > b > c with a2 a superset of a
+    and c2 a subset of c, O gives a2 > b and b > c2, and T a2 > c2."""
     inclusion = _inclusion_rows(space.n)
     strict = [0] * space.size
     for a, b in seed_pairs:
-        strict[_bits(b)] |= 1 << _bits(a)
-    before = None
-    while strict != before:
-        before = list(strict)
-        _grow_orientation(strict, inclusion)
-        _transitive_close(strict)
+        strict[_bits(b, space)] |= 1 << _bits(a, space)
+    _grow_orientation(strict, inclusion)
+    _transitive_close(strict)
     return {(Event(space, a), Event(space, b))
             for b, row in enumerate(strict)
             for a in range(space.size) if row >> a & 1}
@@ -581,7 +584,7 @@ def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]
 
 def strict_order_from_chain(space: StateSpace, chain) -> set[tuple[Event, Event]]:
     """Materialize a descending chain of events as an admissible strict order."""
-    masks = [_bits(e) for e in chain]
+    masks = [_bits(e, space) for e in chain]
     seeds = [(a, b) for i, a in enumerate(masks) for b in masks[i + 1:]]
     return close_strict_pairs(space, seeds)
 

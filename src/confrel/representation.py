@@ -10,13 +10,15 @@ orientation (O) rectangle, and a rescan of the acceptance axiom on just
 the strict rows that grew, whose commits seed the next round. One scan
 for an edge both weak and forbidden ends it; such an edge yields a
 Contradiction value carrying that pair. ac_close seeds the engine with
-every committed pair of its input; decompose keeps its states closed and
-seeds it with each new commitment alone.
+every committed pair of its input.
 
-Decomposition branches on the first incomparable pair, committing each
-orientation in turn and discarding contradictory branches; surviving
-complete leaves form the family. Recomposition intersects the members'
-weak matrices, which is sound when all members agree on equivalences.
+Decomposition needs no closure to start: an acceptance preorder is
+already closed, its strict part committed (T and MI give O, and Ac
+holds). It branches on the first incomparable pair, committing each
+orientation in turn with the engine seeded by that commitment alone,
+and discarding contradictory branches; surviving complete leaves form
+the family. Recomposition intersects the members' weak matrices, which
+is sound when all members agree on equivalences.
 """
 
 from __future__ import annotations
@@ -204,22 +206,17 @@ def _equivalences(rows, cols) -> tuple[int, ...]:
     return tuple(r & c for r, c in zip(rows, cols))
 
 
-def decompose(rel: ConfidenceRelation, mode: str = "all",
+def decompose(rel: ConfidenceRelation,
               max_states: int = DECOMPOSE_MAX) -> Family:
     """Every way of completing the relation by orienting incomparable
     pairs, one commitment at a time, closing after each.
 
-    The result is deduplicated and sorted. Members are re-verified:
-    complete, still an acceptance preorder, and no equivalences beyond the
-    original's.
-
-    mode "maximal" keeps the members whose strict part no other member's
-    properly contains. That is every member: all are complete with the
-    original's equivalences, so all have the same number of strict pairs,
-    and "maximal" returns the same family as "all".
+    The search starts from the relation itself: T and MI give its strict
+    part O (a2 >= a > b >= b2 gives a2 > b2) and Ac holds, so closing it
+    would add nothing. The result is deduplicated and sorted. Members are
+    re-verified: complete, still an acceptance preorder, and no
+    equivalences beyond the original's.
     """
-    if mode not in ("all", "maximal"):
-        raise ValueError(f"unknown mode {mode!r}")
     if rel.space.n > max_states:
         raise TooLarge(f"decomposition is capped at {max_states} states")
     verdicts = is_acceptance_preorder(rel)
@@ -227,17 +224,15 @@ def decompose(rel: ConfidenceRelation, mode: str = "all",
         raise NotAcceptance(verdicts)
 
     space = rel.space
-    root = ac_close(constrain(rel))
-    if isinstance(root, Contradiction):
-        raise AssertionError(f"closure of an acceptance preorder clashed: {root}")
-
     # every forbidden edge of a closed decomposition state is committed,
     # so a state is its weak rows, their transpose, and the strict part
     # by row and by column
+    cols = _transpose(rel.rows)
     inclusion = _inclusion_rows(space.n)
     leaves = set()
-    todo = [(list(root.rows), _transpose(root.rows),
-             _transpose(root.forbidden), list(root.forbidden))]
+    todo = [(list(rel.rows), cols,
+             [r & ~c for r, c in zip(rel.rows, cols)],
+             [c & ~r for r, c in zip(rel.rows, cols)])]
     while todo:
         state = todo.pop()
         pick = _first_incomparable(state[0], state[1])
@@ -251,7 +246,7 @@ def decompose(rel: ConfidenceRelation, mode: str = "all",
                 todo.append(branch)
 
     members = sorted(leaves)
-    base_equiv = _equivalences(rel.rows, _transpose(rel.rows))
+    base_equiv = _equivalences(rel.rows, cols)
     full = (1 << space.size) - 1
     relations = []
     for rows in members:

@@ -733,3 +733,19 @@ def reference_brute_force_ct(values):
         and not values[a] > values[b | c]
         for a, b, c in _disjoint_triples(subs)
     )
+
+
+def reference_kernel_in_every_context(values):
+    """In every context c where some event x is accepted (values[x] above
+    values[c - x]), the intersection of the accepted parts of c is
+    accepted too."""
+    full = len(values) - 1
+    for c in range(full + 1):
+        accepted = [x for x in _ascending_submasks(c)
+                    if values[x] > values[c & ~x]]
+        kern = c
+        for x in accepted:
+            kern &= x
+        if accepted and not values[kern] > values[c & ~kern]:
+            return False
+    return True

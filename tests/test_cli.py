@@ -242,6 +242,19 @@ def test_decompose_and_recompose_via_files(capsys, tmp_path, s3):
     assert load_relation(report["result"]["relation"]) == rel
 
 
+def test_decompose_modes_differ_only_in_the_echoed_mode(capsys, tmp_path, s3):
+    # every member is complete with the original's equivalences, so
+    # "maximal" keeps the whole family; the mode is only echoed
+    path = write_json(tmp_path, "incl.json", dump_relation(inclusion_relation(s3)))
+    code, every = run_json(capsys, "decompose", path, "--mode", "all")
+    assert code == 0
+    code, maximal = run_json(capsys, "decompose", path, "--mode", "maximal")
+    assert code == 0
+    assert every["inputs"].pop("mode") == "all"
+    assert maximal["inputs"].pop("mode") == "maximal"
+    assert maximal == every
+
+
 def test_roundtrip_subcommand(capsys, penguin_file, necessity_file):
     path, _ = necessity_file
     code, report = run_json(capsys, "roundtrip", "--kb", penguin_file)

@@ -33,7 +33,7 @@ from confrel import (
     uniform_probability,
 )
 from oracles import (naive_bel, naive_pl, naive_poss, naive_sup_rows,
-                     reference_brute_force_ct)
+                     reference_brute_force_ct, reference_kernel_in_every_context)
 
 F = Fraction
 
@@ -192,14 +192,17 @@ def test_big_stepped_probability_is_context_tolerant():
 
 
 def test_brute_force_ct_matches_triple_loop():
+    # on a table monotone in inclusion, as the tables of measures are,
+    # Ac is the kernel being accepted in every context where something
+    # is, which classify_acceptance_belief relies on
     rng = random.Random(37)
     verdicts = Counter()
+    monotone = Counter()
     for i in range(5000):
         n = 1 + i % 5
         size = 1 << n
         values = [rng.randrange(1 + i % 7) for _ in range(size)]
         if i % 3 == 0:
-            # monotone in inclusion, as the tables of measures are
             values = [max(values[b] for b in range(size) if b & ~a == 0)
                       for a in range(size)]
         if i % 4 == 1:
@@ -207,7 +210,11 @@ def test_brute_force_ct_matches_triple_loop():
         holds = brute_force_ct(values)
         assert holds == reference_brute_force_ct(values), values
         verdicts[holds] += 1
+        if i % 3 == 0:
+            assert holds == reference_kernel_in_every_context(values), values
+            monotone[holds] += 1
     assert min(verdicts[True], verdicts[False]) >= 1000, verdicts
+    assert min(monotone[True], monotone[False]) >= 300, monotone
 
 
 def test_classify_acceptance_belief(s3):

@@ -27,6 +27,7 @@ from confrel import (
     kernel_characterization,
     lift_strict,
     make_space,
+    mass,
     negligibility_chain,
     plausible_union_growth,
     strict_order_from_chain,
@@ -174,6 +175,30 @@ def test_space_mismatch_between_relations_and_events(s2, s3):
     rel = inclusion_relation(s2)
     with pytest.raises(SpaceMismatch):
         rel.weak(s3.full(), s3.empty())
+    # an event of another space is refused wherever events come in as
+    # pairs, chains or focal sets, not read as a mask of this space
+    one, seven = s3.event_from_bits(1), s3.event_from_bits(7)
+    with pytest.raises(SpaceMismatch):
+        ConfidenceRelation.from_weak_pairs(s2, [(one, seven)])
+    with pytest.raises(SpaceMismatch):
+        lift_strict(s2, [(seven, one)])
+    with pytest.raises(SpaceMismatch):
+        close_strict_pairs(s2, [(seven, one)])
+    with pytest.raises(SpaceMismatch):
+        strict_order_from_chain(s2, [seven, one])
+    with pytest.raises(SpaceMismatch):
+        mass(s3, {s2.event_from_bits(1): "1"})
+    # rows are refused with a bit beyond the space's events, or negative
+    with pytest.raises(ValueError):
+        ConfidenceRelation.from_weak_pairs(s2, [(1, 7)])
+    with pytest.raises(ValueError):
+        ConfidenceRelation(s2, (1, 3, 5, 16))
+    with pytest.raises(ValueError):
+        ConfidenceRelation(s2, (1, 3, -1, 15))
+    # events of the space itself, and masks, still go through
+    pairs = [(s2.full(), s2.empty()), (1, 0)]
+    assert ConfidenceRelation.from_weak_pairs(s2, pairs).rows == (0, 1, 0, 1)
+    assert mass(s2, {s2.full(): "1"}).weights == ((3, 1),)
 
 
 # -- lifting strict orders ---------------------------------------------------

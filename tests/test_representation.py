@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,21 +11,27 @@ from confrel import (
     Family,
     NotAcceptance,
     SharedEquivalenceViolated,
+    StrictAxiomViolation,
     TooLarge,
     ac_close,
+    all_acceptance_preorders,
     commit_strict,
     constrain,
     decompose,
     close_strict_pairs,
+    induce_relation,
     induce_sup_relation,
+    is_acceptance,
     lift_strict,
     make_space,
     possibility,
+    random_mass,
+    random_possibility,
     recompose,
     representation,
     strict_order_from_chain,
 )
-from confrel.relations import _inclusion_rows, _transpose
+from confrel.relations import _inclusion_rows, _strict_parts, _transpose
 from conftest import inclusion_relation
 from oracles import (
     linear_acceptance_rows,
@@ -52,9 +59,38 @@ def lottery_relation(s3):
 # -- closure -----------------------------------------------------------------
 
 def test_closure_fixes_acceptance_preorders(s3):
-    rel = necessity_relation(s3)
-    closed = ac_close(constrain(rel))
-    assert closed.rows == rel.rows
+    # T and MI make the strict part of an acceptance preorder O-closed,
+    # and Ac holds, so closing it adds nothing: decompose starts from the
+    # relation as it is
+    relations = [necessity_relation(s3)]
+    for n in (1, 2):
+        relations += all_acceptance_preorders(
+            make_space([f"s{i}" for i in range(1, n + 1)]))
+    rng = random.Random(15)
+    kinds = Counter()
+    while min(kinds[k] for k in ("induced", "sup", "lifted")) < 200:
+        space = make_space([f"s{i}" for i in range(1, rng.choice((3, 4)) + 1)])
+        kind = rng.choice(("induced", "sup", "lifted"))
+        if kind == "induced":
+            flavor = rng.choice(("belief", "plausibility", "possibility",
+                                 "necessity"))
+            make = (random_mass if flavor in ("belief", "plausibility")
+                    else random_possibility)
+            rel = induce_relation(make(space, rng), flavor)
+        elif kind == "sup":
+            rel = induce_sup_relation(random_possibility(space, rng))
+        else:
+            seeds = [(rng.randrange(space.size), rng.randrange(space.size))
+                     for _ in range(rng.randint(1, 3))]
+            try:
+                rel = lift_strict(space, close_strict_pairs(space, seeds))
+            except StrictAxiomViolation:
+                continue
+        if is_acceptance(rel):
+            relations.append(rel)
+            kinds[kind] += 1
+    for rel in relations:
+        assert ac_close(constrain(rel)) == constrain(rel), rel
 
 
 def test_commit_propagates_orientation_growth(s2):
@@ -83,6 +119,29 @@ def test_weak_and_forbidden_edges_exclude_each_other(s2):
 
 # -- decomposition -----------------------------------------------------------
 
+def test_decompose_starts_from_the_relation_as_it_is(monkeypatch):
+    # an acceptance preorder is its own closure, so the first state
+    # decompose hands the closure engine is the relation's weak rows,
+    # their transpose and its whole strict part, by row and by column
+    real = representation._close
+    for seed in ((1, 6), (3, 4), (1, 14), (4, 1), (3, 12)):
+        space = make_space([f"s{i}" for i in range(1, max(seed).bit_length() + 1)])
+        rel = lift_strict(space, close_strict_pairs(space, [seed]))
+        first = []
+
+        def record(state, seeds, inclusion, forbidden=None):
+            if not first:
+                first.append(tuple(tuple(part) for part in state))
+            return real(state, seeds, inclusion, forbidden)
+
+        monkeypatch.setattr(representation, "_close", record)
+        decompose(rel)
+        monkeypatch.undo()
+        strict, above = _strict_parts(rel.rows)
+        assert first == [(rel.rows, tuple(_transpose(rel.rows)),
+                          tuple(strict), tuple(above))], seed
+
+
 def test_complete_relation_decomposes_to_itself(s3):
     rel = necessity_relation(s3)
     family = decompose(rel)
@@ -110,13 +169,6 @@ def test_decompose_caps_space_size(s3):
         decompose(inclusion_relation(big))
     with pytest.raises(TooLarge):
         decompose(inclusion_relation(s3), max_states=2)
-    with pytest.raises(ValueError):
-        decompose(inclusion_relation(s3), mode="best")
-
-
-def test_maximal_mode_agrees_with_all(s3):
-    for rel in (inclusion_relation(s3), necessity_relation(s3)):
-        assert decompose(rel, mode="maximal") == decompose(rel, mode="all")
 
 
 # -- recomposition -----------------------------------------------------------
