@@ -54,6 +54,11 @@ class StateSpace:
     def _positions(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.states)}
 
+    @cached_property
+    def inclusion(self) -> tuple[int, ...]:
+        """The _inclusion_rows of the space, built on first use."""
+        return tuple(_inclusion_rows(self.n))
+
     def index(self, name: str) -> int:
         try:
             return self._positions[name]
@@ -162,13 +167,29 @@ class Event:
         return "{%s}" % ",".join(self.names())
 
 
+def _inclusion_rows(n: int) -> list[int]:
+    """Weak rows of reverse inclusion over n states: bit b of row a is set
+    iff b is a submask of a."""
+    rows = [1]
+    for a in range(1, 1 << n):
+        # the submasks of a are those of a without its low bit, each
+        # also taken with that bit added (index shifted up by low)
+        low = a & -a
+        rest = rows[a ^ low]
+        rows.append(rest | rest << low)
+    return rows
+
+
 def _bits(x, space: StateSpace) -> int:
-    """The mask of an Event of space, or the value itself when it is
-    already a mask; an Event of another space raises SpaceMismatch."""
+    """The mask of an Event of space, or the value itself when it is a
+    mask of space; an Event of another space raises SpaceMismatch, a mask
+    outside [0, full_mask] ValueError."""
     if isinstance(x, Event):
         if x.space != space:
             raise SpaceMismatch("event from a different space")
         return x.bits
+    if x < 0 or x >> len(space.states):
+        raise ValueError(f"mask {x!r} out of range for n={space.n}")
     return x
 
 

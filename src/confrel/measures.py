@@ -16,10 +16,10 @@ from itertools import groupby
 from math import lcm
 from typing import Optional, Sequence
 
-from .core import Event, StateSpace, _bits, submasks
+from .core import Event, StateSpace, _bits, _inclusion_rows, submasks
 from .errors import KindMismatch, ZeroDenominator
-from .relations import (ConfidenceRelation, _ac_gap, _accepted, _inclusion_rows,
-                        _kernel, _strict_parts)
+from .relations import (ConfidenceRelation, _ac_gap, _accepted, _kernel,
+                        _strict_parts, _transpose)
 
 PROBABILITY = "probability"
 POSSIBILITY = "possibility"
@@ -103,8 +103,6 @@ def mass(space: StateSpace, focal) -> Measure:
     pairs.sort()
     if any(m == 0 for m, _ in pairs):
         raise ValueError("the empty event cannot be focal")
-    if any(m > space.full_mask for m, _ in pairs):
-        raise ValueError("focal event outside the space")
     if len({m for m, _ in pairs}) != len(pairs):
         raise ValueError("duplicate focal event")
     if any(v <= 0 for _, v in pairs):
@@ -293,8 +291,8 @@ def brute_force_ct(values: Sequence) -> bool:
     n = size.bit_length() - 1
     if 1 << n != size:
         raise ValueError("table length must be a power of two")
-    strict, above = _strict_parts(_table_rows(values))
-    return _ac_gap(strict, above, _inclusion_rows(n)) is None
+    rows = _table_rows(values)
+    return _ac_gap(*_strict_parts(rows, _transpose(rows)), _inclusion_rows(n)) is None
 
 
 def classify_acceptance_belief(measure: Measure) -> str:
@@ -315,7 +313,7 @@ def classify_acceptance_belief(measure: Measure) -> str:
     bel = _bel_int(n, weights)
     focal = dict(weights)
 
-    inclusion = _inclusion_rows(n)
+    inclusion = measure.space.inclusion
     acc = _accepted(_table_rows(bel), full, inclusion)
     if not acc:
         return "none"

@@ -4,8 +4,10 @@ A relation is one integer row per event: bit b of rows[a] says a is held
 at least as confident as b. Nothing is assumed at construction; axioms
 are checked on demand, each returning the first violating instance in
 increasing bitmask order, which re-evaluates against the relation.
-Transpose and dual are one delta-swap kernel (_delta_swap), and the
-strict part is the rows and columns of one transpose (_strict_parts).
+Transpose and dual are one delta-swap kernel (_delta_swap). A relation's
+transpose is its cols, built once on first use; the strict part, the
+equivalences and completeness all read it (_strict_parts), and the
+space's inclusion table is likewise built once (StateSpace.inclusion).
 Apart from Qual, CP and the poles, checkers test a row of events a step:
 
 - T groups events by identical row (_t_gap); MI is one mask test per
@@ -28,7 +30,7 @@ Apart from Qual, CP and the poles, checkers test a row of events a step:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from operator import or_, xor
 from typing import Iterator, Optional
@@ -64,6 +66,8 @@ class ConfidenceRelation:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.rows, tuple):
+            raise TypeError("rows must be a tuple, as cols is cached")
         if len(self.rows) != self.space.size:
             raise ValueError("need one row per event")
         if min(self.rows) < 0 or max(self.rows) >> self.space.size:
@@ -99,8 +103,13 @@ class ConfidenceRelation:
         if a.space != self.space or b.space != self.space:
             raise SpaceMismatch("event from a different space")
 
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """The transpose of rows: bit a of cols[b] iff a >= b."""
+        return tuple(_transpose(self.rows))
+
     def is_complete(self) -> bool:
-        return _first_incomparable(self.rows, _transpose(self.rows)) is None
+        return _first_incomparable(self.rows, self.cols) is None
 
     def weak_pairs(self) -> Iterator[tuple[Event, Event]]:
         for a in range(self.space.size):
@@ -120,7 +129,7 @@ class ConfidenceRelation:
         each bit b <= c over every b | x with x outside c."""
         self._check(c, c)
         cb = c.bits
-        inclusion = _inclusion_rows(self.space.n)
+        inclusion = self.space.inclusion
         inside, outside = inclusion[cb], inclusion[self.space.full_mask & ~cb]
         parts = {a: (self.rows[a] & inside) * outside for a in submasks(cb)}
         return ConfidenceRelation(
@@ -132,19 +141,6 @@ class ConfidenceRelation:
         for a, b in pairs:
             rows[_bits(a, space)] |= 1 << _bits(b, space)
         return cls(space, tuple(rows))
-
-
-def _inclusion_rows(n: int) -> list[int]:
-    """Weak rows of reverse inclusion over n states: bit b of row a is set
-    iff b is a submask of a."""
-    rows = [1]
-    for a in range(1, 1 << n):
-        # the submasks of a are those of a without its low bit, each
-        # also taken with that bit added (index shifted up by low)
-        low = a & -a
-        rest = rows[a ^ low]
-        rows.append(rest | rest << low)
-    return rows
 
 
 def _delta_swap(rows, anti: bool) -> list[int]:
@@ -188,10 +184,9 @@ def _dual_rows(rows) -> list[int]:
     return _delta_swap(rows, True)
 
 
-def _strict_parts(rows) -> tuple[list[int], list[int]]:
-    """The strict part of weak rows: bit b of strict[a] means a > b, and
-    above is its transpose (bit a of above[b] means a > b)."""
-    cols = _transpose(rows)
+def _strict_parts(rows, cols) -> tuple[list[int], list[int]]:
+    """The strict part of weak rows, cols their transpose: bit b of strict[a]
+    means a > b, and above is its transpose (bit a of above[b] means a > b)."""
     return ([r & ~c for r, c in zip(rows, cols)],
             [c & ~r for r, c in zip(rows, cols)])
 
@@ -223,11 +218,11 @@ def _transitive_close(rows: list[int]) -> None:
         rows[a] = row
 
 
-def _grow_orientation(strict: list[int], inclusion: list[int]) -> None:
+def _grow_orientation(strict: list[int], inclusion) -> None:
     """O axiom in place on a strict matrix kept per right side (bit a of
     strict[b] means a > b): per state i, each row gains its left sides
     with i added (shift-or over the events lacking i, a row of the
-    _inclusion_rows) and is ORed into the row of its right side minus i."""
+    inclusion table) and is ORed into the row of its right side minus i."""
     size = len(strict)
     bit = 1
     while bit < size:
@@ -281,8 +276,7 @@ def _t_gap(rows) -> Optional[tuple[int, int, int]]:
 def _mi_gap(rel):
     """Row b must hold every subset of b: one mask test per b. The
     witness is the lowest a missing anywhere, with the first b missing it."""
-    inclusion = _inclusion_rows(rel.space.n)
-    gaps = [sub & ~row for row, sub in zip(rel.rows, inclusion)]
+    gaps = [sub & ~row for row, sub in zip(rel.rows, rel.space.inclusion)]
     union = reduce(or_, gaps)
     if not union:
         return None
@@ -353,12 +347,12 @@ def _accepted(rows, c: int, inclusion) -> int:
     return inside * inclusion[(len(rows) - 1) & ~c]
 
 
-def _accepted_by_context(rows, inclusion) -> Iterator[int]:
+def _accepted_by_context(rel) -> Iterator[int]:
     """_accepted of every context in turn. Bit v of strict[u], for v
     disjoint from u, is u > v; moved up to bit u | v and transposed once,
     row c holds each u inside c with u > c ^ u."""
-    strict, _ = _strict_parts(rows)
-    full = len(rows) - 1
+    strict, _ = _strict_parts(rel.rows, rel.cols)
+    inclusion, full = rel.space.inclusion, rel.space.full_mask
     inside = _transpose([(row & inclusion[full & ~u]) << u
                          for u, row in enumerate(strict)])
     for c, row in enumerate(inside):
@@ -405,8 +399,8 @@ def _intersection_gap(members: int, inclusion) -> Optional[tuple[int, int]]:
 
 def _context_gap(rel, gap) -> Optional[tuple[int, int, int]]:
     """First (c, a, b): a gap found in the accepted set of context c."""
-    inclusion = _inclusion_rows(rel.space.n)
-    for c, acc in enumerate(_accepted_by_context(rel.rows, inclusion)):
+    inclusion = rel.space.inclusion
+    for c, acc in enumerate(_accepted_by_context(rel)):
         found = gap(acc, inclusion)
         if found:
             return (c, *found)
@@ -421,7 +415,7 @@ def _gap_verdict(rel, axiom, found):
 
 def _full_gap(rel, gap):
     """CS or AND: a gap in the accepted set of the full context."""
-    inclusion = _inclusion_rows(rel.space.n)
+    inclusion = rel.space.inclusion
     return gap(_accepted(rel.rows, rel.space.full_mask, inclusion), inclusion)
 
 
@@ -435,7 +429,7 @@ def _additivity_gap(rel, gap) -> Optional[tuple[int, int, int]]:
     rows[b]) marks every failing c at once."""
     full = rel.space.full_mask
     rows = rel.rows
-    inclusion = _inclusion_rows(rel.space.n)
+    inclusion = rel.space.inclusion
     for x in range(rel.space.n):
         bit = 1 << x
         lacking = inclusion[full ^ bit]
@@ -446,10 +440,10 @@ def _additivity_gap(rel, gap) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _up_rows(rows) -> list[int]:
+def _up_rows(rel) -> list[int]:
     """Bit x of row a, for x disjoint from a, is a|x > x: bit a of
     above[x] >> x, transposed. Bits x that meet a mean nothing."""
-    _, above = _strict_parts(rows)
+    _, above = _strict_parts(rel.rows, rel.cols)
     return _transpose([row >> x for x, row in enumerate(above)])
 
 
@@ -459,8 +453,8 @@ def _weak_gap(rel, grows: bool) -> Optional[tuple[int, int, int]]:
     a member b with a superset b|c outside the row, a WEAK_OR gap a
     non-member b with one inside it."""
     full = rel.space.full_mask
-    inclusion = _inclusion_rows(rel.space.n)
-    for a, up in enumerate(_up_rows(rel.rows)):
+    inclusion = rel.space.inclusion
+    for a, up in enumerate(_up_rows(rel)):
         free = full & ~a
         found = _upward_gap(up if grows else inclusion[free] & ~up,
                             inclusion, free)
@@ -490,12 +484,12 @@ def _pole_gap(rel, pole: int):
 _CHECKERS = {
     "T": lambda rel: _t_gap(rel.rows),
     "MI": _mi_gap,
-    "O": lambda rel: _o_gap(_strict_parts(rel.rows)[0],
-                            _inclusion_rows(rel.space.n)),
+    "O": lambda rel: _o_gap(_strict_parts(rel.rows, rel.cols)[0],
+                            rel.space.inclusion),
     # a > a would need a >= a and not a >= a: IR holds for every relation
     "IR": lambda rel: None,
-    "Ac": lambda rel: _ac_gap(*_strict_parts(rel.rows),
-                              _inclusion_rows(rel.space.n)),
+    "Ac": lambda rel: _ac_gap(*_strict_parts(rel.rows, rel.cols),
+                              rel.space.inclusion),
     "Qual": _qual_gap,
     "CP": lambda rel: next(((a,) for a in range(rel.space.size)
                             if rel.s(0, a)), None),
@@ -552,7 +546,7 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
     found = _t_gap(strict)
     if found:
         raise StrictAxiomViolation("T", _ev(space, *found))
-    rows = _inclusion_rows(space.n)
+    rows = space.inclusion
     found = _o_gap(strict, rows)
     if found:
         raise StrictAxiomViolation("O", _ev(space, *found))
@@ -571,11 +565,10 @@ def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]
     One O growth, then one transitive closure: the closure of an O-closed
     relation stays O-closed, since from a > b > c with a2 a superset of a
     and c2 a subset of c, O gives a2 > b and b > c2, and T a2 > c2."""
-    inclusion = _inclusion_rows(space.n)
     strict = [0] * space.size
     for a, b in seed_pairs:
         strict[_bits(b, space)] |= 1 << _bits(a, space)
-    _grow_orientation(strict, inclusion)
+    _grow_orientation(strict, space.inclusion)
     _transitive_close(strict)
     return {(Event(space, a), Event(space, b))
             for b, row in enumerate(strict)
@@ -600,7 +593,7 @@ def accepted_set(rel: ConfidenceRelation, context: Event) -> Kernel:
     accepted events exist but their intersection is empty.
     """
     rel._check(context, context)
-    inclusion = _inclusion_rows(rel.space.n)
+    inclusion = rel.space.inclusion
     acc = _accepted(rel.rows, context.bits, inclusion)
     kern = _kernel(acc, inclusion)
     flags = set()
@@ -618,15 +611,19 @@ def accepted_set(rel: ConfidenceRelation, context: Event) -> Kernel:
 
 
 def check_closure(rel: ConfidenceRelation, context: Event) -> Verdict:
-    """Is the accepted set closed under supersets and pairwise intersection?"""
+    """Is the accepted set closed under supersets and pairwise intersection?
+    An up-set is closed under intersection iff it is empty or holds its
+    kernel, so _intersection_gap runs only when neither is so."""
     rel._check(context, context)
-    inclusion = _inclusion_rows(rel.space.n)
+    inclusion = rel.space.inclusion
     acc = _accepted(rel.rows, context.bits, inclusion)
-    for detail, gap in (("superset", _upward_gap),
-                        ("intersection", _intersection_gap)):
-        found = gap(acc, inclusion)
-        if found:
-            return Verdict("closure", False, _ev(rel.space, *found), detail=detail)
+    found = _upward_gap(acc, inclusion)
+    if found:
+        return Verdict("closure", False, _ev(rel.space, *found), detail="superset")
+    if acc and not acc >> _kernel(acc, inclusion) & 1:
+        found = _intersection_gap(acc, inclusion)
+        return Verdict("closure", False, _ev(rel.space, *found),
+                       detail="intersection")
     return Verdict("closure", True)
 
 
@@ -652,7 +649,7 @@ def _kernel_gap(members: int, inclusion) -> Optional[tuple[int]]:
 
 def kernel_characterization(rel: ConfidenceRelation) -> Verdict:
     """Accepted exactly = supersets of the kernel (vacuous if nothing accepted)."""
-    inclusion = _inclusion_rows(rel.space.n)
+    inclusion = rel.space.inclusion
     acc = _accepted(rel.rows, rel.space.full_mask, inclusion)
     if not acc:
         return Verdict("kernel_characterization", True, detail="no accepted beliefs")
@@ -662,8 +659,8 @@ def kernel_characterization(rel: ConfidenceRelation) -> Verdict:
 def conditional_kernel_characterization(rel: ConfidenceRelation) -> Verdict:
     """Same characterization inside every context that is strictly plausible."""
     axiom = "conditional_kernel_characterization"
-    inclusion = _inclusion_rows(rel.space.n)
-    for c, acc in enumerate(_accepted_by_context(rel.rows, inclusion)):
+    inclusion = rel.space.inclusion
+    for c, acc in enumerate(_accepted_by_context(rel)):
         if not rel.s(c, 0):
             continue
         if not acc:
@@ -695,8 +692,8 @@ def plausible_union_growth(rel: ConfidenceRelation) -> Verdict:
     """B strictly plausible implies A|B strictly above A, for disjoint A.
     Row b of _up_rows holds bit 0 iff b > 0, and bit a iff b|a > a."""
     full = rel.space.full_mask
-    inclusion = _inclusion_rows(rel.space.n)
-    for b, up in enumerate(_up_rows(rel.rows)):
+    inclusion = rel.space.inclusion
+    for b, up in enumerate(_up_rows(rel)):
         missing = inclusion[full & ~b] & ~up
         if up & 1 and missing:
             a = (missing & -missing).bit_length() - 1
@@ -724,7 +721,7 @@ def all_acceptance_preorders(space: StateSpace) -> Iterator[ConfidenceRelation]:
     n = space.size
     if space.n > 2:
         raise TooLarge("exhaustive relation enumeration needs n <= 2")
-    required = _inclusion_rows(space.n)
+    required = space.inclusion
     for rows in product(range(1 << n), repeat=n):
         if any(rows[a] & required[a] != required[a] for a in range(n)):
             continue

@@ -17,8 +17,10 @@ already closed, its strict part committed (T and MI give O, and Ac
 holds). It branches on the first incomparable pair, committing each
 orientation in turn with the engine seeded by that commitment alone,
 and discarding contradictory branches; surviving complete leaves form
-the family. Recomposition intersects the members' weak matrices, which
-is sound when all members agree on equivalences.
+the family. Each member is re-verified (T, MI, Ac, completeness, the
+equivalences) with one transpose, its cols, which recompose reads again.
+Recomposition intersects the members' weak matrices, which is sound when
+all members agree on equivalences.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from typing import Iterator, Optional, Union
 from .core import DECOMPOSE_MAX, Event, StateSpace, submasks
 from .errors import NotAcceptance, SharedEquivalenceViolated, TooLarge
 from .relations import (ConfidenceRelation, _first_incomparable,
-                        _inclusion_rows, _strict_parts, _transitive_close,
-                        _transpose, is_acceptance_preorder)
+                        _strict_parts, _transitive_close, _transpose,
+                        is_acceptance_preorder)
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class ConstrainedRelation:
 def constrain(rel: ConfidenceRelation) -> ConstrainedRelation:
     """Wrap a relation, committing every strict preference it already has."""
     # a > b forbids b >= a: forbidden[b] is the column of strict edges into b
-    _, above = _strict_parts(rel.rows)
+    _, above = _strict_parts(rel.rows, rel.cols)
     return ConstrainedRelation(rel.space, rel.rows, tuple(above))
 
 
@@ -166,7 +168,7 @@ def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradictio
     forbidden in that least state.
     """
     space = cr.space
-    inclusion = _inclusion_rows(space.n)
+    inclusion = space.inclusion
     rows = [r | i for r, i in zip(cr.rows, inclusion)]
     _transitive_close(rows)
     # bit y of committed[x]: x > y; a pair comes before the pairs its O
@@ -200,10 +202,9 @@ class Family:
     members: tuple[ConfidenceRelation, ...]
 
 
-def _equivalences(rows, cols) -> tuple[int, ...]:
-    """Bit b of row a: a and b are equivalent; cols is the transpose of
-    rows."""
-    return tuple(r & c for r, c in zip(rows, cols))
+def _equivalences(rel: ConfidenceRelation) -> tuple[int, ...]:
+    """Bit b of row a: a and b are equivalent."""
+    return tuple(r & c for r, c in zip(rel.rows, rel.cols))
 
 
 def decompose(rel: ConfidenceRelation,
@@ -226,13 +227,9 @@ def decompose(rel: ConfidenceRelation,
     space = rel.space
     # every forbidden edge of a closed decomposition state is committed,
     # so a state is its weak rows, their transpose, and the strict part
-    # by row and by column
-    cols = _transpose(rel.rows)
-    inclusion = _inclusion_rows(space.n)
+    # by row and by column; branches copy it before they change it
     leaves = set()
-    todo = [(list(rel.rows), cols,
-             [r & ~c for r, c in zip(rel.rows, cols)],
-             [c & ~r for r, c in zip(rel.rows, cols)])]
+    todo = [(rel.rows, rel.cols, *_strict_parts(rel.rows, rel.cols))]
     while todo:
         state = todo.pop()
         pick = _first_incomparable(state[0], state[1])
@@ -242,21 +239,18 @@ def decompose(rel: ConfidenceRelation,
         a, b = pick
         for seed in ((a, b), (b, a)):
             branch = tuple(list(part) for part in state)
-            if _close(branch, [seed], inclusion) is None:
+            if _close(branch, [seed], space.inclusion) is None:
                 todo.append(branch)
 
-    members = sorted(leaves)
-    base_equiv = _equivalences(rel.rows, cols)
-    full = (1 << space.size) - 1
+    base_equiv = _equivalences(rel)
     relations = []
-    for rows in members:
+    for rows in sorted(leaves):
         member = ConfidenceRelation(space, rows)
         if not all(v.holds for v in is_acceptance_preorder(member)):
             raise AssertionError("completion lost the acceptance axioms")
-        cols = _transpose(rows)
-        if any(r | c != full for r, c in zip(rows, cols)):
+        if not member.is_complete():
             raise AssertionError("decomposition leaf is not complete")
-        if _equivalences(rows, cols) != base_equiv:
+        if _equivalences(member) != base_equiv:
             raise AssertionError("completion changed the equivalences")
         relations.append(member)
     return Family(space, tuple(relations))
@@ -267,10 +261,9 @@ def recompose(family: Family) -> ConfidenceRelation:
     if not family.members:
         raise ValueError("cannot recompose an empty family")
     space = family.space
-    first = _equivalences(family.members[0].rows,
-                          _transpose(family.members[0].rows))
+    first = _equivalences(family.members[0])
     for i, member in enumerate(family.members[1:], 1):
-        mine = _equivalences(member.rows, _transpose(member.rows))
+        mine = _equivalences(member)
         # the first (a, b), a < b, on which member i and member 0 differ
         for a, (row, row0) in enumerate(zip(mine, first)):
             diff = (row ^ row0) >> a >> 1

@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from confrel import ConfidenceRelation, make_space
+from collections import Counter
+
+from confrel import ConfidenceRelation, core, make_space, relations
 
 
 @pytest.fixture
@@ -16,6 +18,27 @@ def s2():
 @pytest.fixture
 def s3():
     return make_space(["s1", "s2", "s3"])
+
+
+@pytest.fixture
+def view_builds(monkeypatch):
+    """Counts, from here on, of relations._delta_swap calls (each
+    transpose or dual) and core._inclusion_rows calls (each inclusion
+    table built)."""
+    counts = Counter()
+    swap, build = relations._delta_swap, core._inclusion_rows
+
+    def counted_swap(rows, anti):
+        counts["delta_swap"] += 1
+        return swap(rows, anti)
+
+    def counted_build(n):
+        counts["inclusion"] += 1
+        return build(n)
+
+    monkeypatch.setattr(relations, "_delta_swap", counted_swap)
+    monkeypatch.setattr(core, "_inclusion_rows", counted_build)
+    return counts
 
 
 def inclusion_relation(space):

@@ -32,6 +32,7 @@ from confrel import (
     plausible_union_growth,
     strict_order_from_chain,
 )
+from confrel import core, relations
 from confrel.relations import _dual_rows, _first_incomparable, _transpose
 from conftest import inclusion_relation
 from oracles import (
@@ -195,6 +196,21 @@ def test_space_mismatch_between_relations_and_events(s2, s3):
         ConfidenceRelation(s2, (1, 3, 5, 16))
     with pytest.raises(ValueError):
         ConfidenceRelation(s2, (1, 3, -1, 15))
+    # and unless they are a tuple, as a relation caches its transpose
+    with pytest.raises(TypeError):
+        ConfidenceRelation(s2, [1, 3, 5, 15])
+    # a mask outside [0, full_mask] is refused by name, not read from the
+    # end of the rows or past them
+    for bad in (-1, 4, 7):
+        for pair in ((bad, 0), (3, bad)):
+            for build in (ConfidenceRelation.from_weak_pairs, lift_strict,
+                          close_strict_pairs):
+                with pytest.raises(ValueError, match=f"mask {bad} out of range"):
+                    build(s2, [pair])
+        with pytest.raises(ValueError, match=f"mask {bad} out of range"):
+            strict_order_from_chain(s2, [3, bad])
+        with pytest.raises(ValueError, match=f"mask {bad} out of range"):
+            mass(s2, {bad: "1"})
     # events of the space itself, and masks, still go through
     pairs = [(s2.full(), s2.empty()), (1, 0)]
     assert ConfidenceRelation.from_weak_pairs(s2, pairs).rows == (0, 1, 0, 1)
@@ -406,10 +422,47 @@ def test_transpose_kernels_match_per_bit_loops():
             assert tuple(dual) == reference_dual(rows), (n, rows)
             assert tuple(_transpose(cols)) == rows, (n, rows)
             assert tuple(_dual_rows(dual)) == rows, (n, rows)
+            if n:
+                space = make_space([f"s{i}" for i in range(n)])
+                rel = ConfidenceRelation(space, rows)
+                assert rel.cols == reference_transpose(rows), (n, rows)
 
 
-def test_acceptance_family_matches_per_definition_loops():
+def test_checkers_share_one_transpose_and_one_inclusion_table(view_builds):
+    # on a fresh space, the checkers read the relation's cols and the
+    # space's inclusion table, each built once
+    space = make_space(["s1", "s2", "s3", "s4"])
+    rel = from_table(space, [3 * a.bit_count() - (a & 5) for a in range(16)])
+    for axiom in ("T", "MI", "O", "Ac", "CS", "AND", "ADD"):
+        check_axiom(rel, axiom)
+    assert view_builds == {"delta_swap": 1, "inclusion": 1}
+
+
+def test_cached_views_leave_equality_hash_and_repr_alone(s3):
+    rel = from_table(s3, [0, 1, 1, 3, 2, 4, 4, 8])
+    seen = (repr(rel), hash(rel), repr(s3), hash(s3))
+    is_acceptance(rel)
+    assert {"cols"} <= set(vars(rel)) and {"inclusion"} <= set(vars(s3))
+    fresh_space = make_space(s3.states)
+    fresh = ConfidenceRelation(fresh_space, rel.rows)
+    assert "inclusion" not in vars(fresh_space) and "cols" not in vars(fresh)
+    assert rel == fresh and s3 == fresh_space
+    assert (repr(rel), hash(rel), repr(s3), hash(s3)) == seen
+    assert (repr(fresh), hash(fresh), repr(fresh_space), hash(fresh_space)) == seen
+
+
+def test_acceptance_family_matches_per_definition_loops(monkeypatch):
     outcomes = Counter()
+    # check_closure runs _intersection_gap only when the accepted set is
+    # an up-set that is neither empty nor holds its kernel
+    real_gap = relations._intersection_gap
+    gap_calls = []
+
+    def counted_gap(members, inclusion):
+        gap_calls.append(members)
+        return real_gap(members, inclusion)
+
+    monkeypatch.setattr(relations, "_intersection_gap", counted_gap)
     for n, rows in _family_matrices(random.Random(5), 1200):
         sp = make_space([f"s{i}" for i in range(n)])
         rel = ConfidenceRelation(sp, rows)
@@ -442,7 +495,12 @@ def test_acceptance_family_matches_per_definition_loops():
             assert kernel.kernel.bits == kern
             assert kernel.flags == ({"no_belief"} if not accepted else
                                     {"empty_kernel"} if kern == 0 else set())
+            gap_calls.clear()
             closure = check_closure(rel, sp.event_from_bits(c))
+            if closure.detail != "superset":
+                ran = bool(gap_calls)
+                assert ran == (closure.detail == "intersection"), (c, rows)
+                outcomes["closure by", "intersection" if ran else "kernel"] += 1
             expected = reference_closure(rows, c)
             if expected is None:
                 assert closure.holds and closure.witness is None
@@ -452,6 +510,8 @@ def test_acceptance_family_matches_per_definition_loops():
     for name in ("CS", "AND", "CCS", "CAND", "kernel_characterization",
                  "conditional_kernel_characterization", "closure"):
         assert min(outcomes[name, True], outcomes[name, False]) >= 100, outcomes
+    assert min(outcomes["closure by", "intersection"],
+               outcomes["closure by", "kernel"]) >= 100, outcomes
 
 
 def test_strict_part_checkers_match_per_bit_loops():

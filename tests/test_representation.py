@@ -31,7 +31,8 @@ from confrel import (
     representation,
     strict_order_from_chain,
 )
-from confrel.relations import _inclusion_rows, _strict_parts, _transpose
+from confrel.core import _inclusion_rows
+from confrel.relations import _strict_parts, _transpose
 from conftest import inclusion_relation
 from oracles import (
     linear_acceptance_rows,
@@ -137,9 +138,26 @@ def test_decompose_starts_from_the_relation_as_it_is(monkeypatch):
         monkeypatch.setattr(representation, "_close", record)
         decompose(rel)
         monkeypatch.undo()
-        strict, above = _strict_parts(rel.rows)
+        strict, above = _strict_parts(rel.rows, rel.cols)
         assert first == [(rel.rows, tuple(_transpose(rel.rows)),
                           tuple(strict), tuple(above))], seed
+
+
+def test_decompose_and_recompose_transpose_each_relation_once(view_builds):
+    # the root's cols, one per member (re-verified and compared for
+    # equivalences, then compared again by recompose) and one for the
+    # recomposed relation; the members share the root's space, so its
+    # inclusion table is built at most once
+    for seed in ((1, 6), (3, 4), (1, 14), (4, 1), (3, 12)):
+        names = [f"s{i}" for i in range(1, max(seed).bit_length() + 1)]
+        built = lift_strict(make_space(names), close_strict_pairs(
+            make_space(names), [seed]))
+        rel = ConfidenceRelation(make_space(names), built.rows)
+        view_builds.clear()
+        family = decompose(rel)
+        assert recompose(family) == rel, seed
+        assert view_builds["delta_swap"] == len(family.members) + 2, seed
+        assert view_builds["inclusion"] <= 1, seed
 
 
 def test_complete_relation_decomposes_to_itself(s3):
