@@ -10,7 +10,7 @@ reports reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator
 
 from .errors import DuplicateState, EmptySpace, SpaceMismatch, TooLarge
@@ -56,8 +56,9 @@ class StateSpace:
 
     @cached_property
     def inclusion(self) -> tuple[int, ...]:
-        """The _inclusion_rows of the space, built on first use."""
-        return tuple(_inclusion_rows(self.n))
+        """The _inclusion_rows of the space: one table per n, shared by
+        every space of n states (_inclusion_table)."""
+        return _inclusion_table(self.n)
 
     def index(self, name: str) -> int:
         try:
@@ -178,6 +179,12 @@ def _inclusion_rows(n: int) -> list[int]:
         rest = rows[a ^ low]
         rows.append(rest | rest << low)
     return rows
+
+
+@cache
+def _inclusion_table(n: int) -> tuple[int, ...]:
+    """_inclusion_rows(n) as a tuple, built once per n."""
+    return tuple(_inclusion_rows(n))
 
 
 def _bits(x, space: StateSpace) -> int:

@@ -2,10 +2,10 @@
 
 Three kinds are supported: probability and possibility distributions
 (one value per state) and mass assignments (one positive weight per focal
-event, summing to one). Set functions derived from them, and the orders
-those induce, are computed exactly with fractions; the recognizers below
-work on integer tables over a common denominator, which keeps exhaustive
-sweeps cheap.
+event, summing to one). Each set function of theirs is one entry of
+_SET_FUNCTIONS, tabled in integers over a common denominator by
+_int_table, which the orders and recognizers read; Fractions are made
+only by table_for, behind evaluate and condition_measure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import groupby
 from math import lcm
 from typing import Optional, Sequence
 
-from .core import Event, StateSpace, _bits, _inclusion_rows, submasks
+from .core import Event, StateSpace, _bits, _inclusion_table, submasks
 from .errors import KindMismatch, ZeroDenominator
 from .relations import (ConfidenceRelation, _ac_gap, _accepted, _kernel,
                         _strict_parts, _transpose)
@@ -131,11 +131,10 @@ def _bel_int(n: int, weights) -> list[int]:
     return tab
 
 
-def _pl_int(n: int, weights) -> list[int]:
-    bel = _bel_int(n, weights)
-    full = (1 << n) - 1
-    total = bel[full]
-    return [total - bel[full & ~a] for a in range(1 << n)]
+def _dual_int(tab: list[int]) -> list[int]:
+    """The dual set function: the total less the value of the complement."""
+    full = len(tab) - 1
+    return [tab[full] - tab[full & ~a] for a in range(len(tab))]
 
 
 def _poss_int(n: int, weights) -> list[int]:
@@ -148,37 +147,39 @@ def _poss_int(n: int, weights) -> list[int]:
     return tab
 
 
+# each set function: the kind of measure it needs, and its integer table
+# from the measure's integer weights over their common denominator
+_SET_FUNCTIONS = {
+    "probability": (PROBABILITY, _bel_int),
+    "possibility": (POSSIBILITY, _poss_int),
+    "necessity": (POSSIBILITY, lambda n, w: _dual_int(_poss_int(n, w))),
+    "belief": (MASS, _bel_int),
+    "plausibility": (MASS, lambda n, w: _dual_int(_bel_int(n, w))),
+}
+_DEFAULT_FLAVOR = {PROBABILITY: "probability", POSSIBILITY: "possibility", MASS: "belief"}
+
+
+def _int_table(measure: Measure, flavor: Optional[str] = None) -> tuple[int, list[int]]:
+    """(denominator, table) of the set function, the measure's default one
+    when flavor is None: value(a) is table[a] / denominator."""
+    try:
+        kind, build = _SET_FUNCTIONS[_DEFAULT_FLAVOR[measure.kind]
+                                     if flavor is None else flavor]
+    except (KeyError, TypeError):
+        raise KindMismatch(f"unknown set function {flavor!r}") from None
+    _require(measure, kind)
+    denom, weights = _int_weights(measure)
+    return denom, build(measure.space.n, weights)
+
+
 def table_for(measure: Measure, flavor: Optional[str] = None) -> tuple[Fraction, ...]:
     """Per-event value table of the requested set function."""
-    if flavor is None:
-        flavor = {PROBABILITY: "probability", POSSIBILITY: "possibility", MASS: "belief"}[
-            measure.kind
-        ]
-    n = measure.space.n
-    size = measure.space.size
-    full = measure.space.full_mask
-    if flavor == "probability":
-        _require(measure, PROBABILITY)
-        denom, weights = _int_weights(measure)
-        tab = _bel_int(n, weights)
-        return tuple(Fraction(tab[a], denom) for a in range(size))
-    if flavor in ("possibility", "necessity"):
-        _require(measure, POSSIBILITY)
-        denom, weights = _int_weights(measure)
-        tab = _poss_int(n, weights)
-        if flavor == "possibility":
-            return tuple(Fraction(tab[a], denom) for a in range(size))
-        return tuple(Fraction(denom - tab[full & ~a], denom) for a in range(size))
-    if flavor in ("belief", "plausibility"):
-        _require(measure, MASS)
-        denom, weights = _int_weights(measure)
-        tab = _bel_int(n, weights) if flavor == "belief" else _pl_int(n, weights)
-        return tuple(Fraction(tab[a], denom) for a in range(size))
-    raise KindMismatch(f"unknown set function {flavor!r}")
+    denom, tab = _int_table(measure, flavor)
+    return tuple(Fraction(v, denom) for v in tab)
 
 
 def evaluate(measure: Measure, event: Event, flavor: Optional[str] = None) -> Fraction:
-    return table_for(measure, flavor)[event.bits]
+    return table_for(measure, flavor)[_bits(event, measure.space)]
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ class SetFunctionTable:
     values: tuple[Fraction, ...]
 
     def __call__(self, event: Event) -> Fraction:
-        return self.values[event.bits]
+        return self.values[_bits(event, self.space)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,8 @@ def _table_rows(values: Sequence) -> list[int]:
 
 
 def induce_relation(measure: Measure, flavor: Optional[str] = None) -> ConfidenceRelation:
-    return relation_from_table(measure.space, table_for(measure, flavor))
+    # integers over one denominator sort as their fractions do
+    return relation_from_table(measure.space, _int_table(measure, flavor)[1])
 
 
 def induce_sup_relation(measure: Measure) -> ConfidenceRelation:
@@ -223,10 +225,8 @@ def induce_sup_relation(measure: Measure) -> ConfidenceRelation:
     differences: A beats B when the best state of A minus B is strictly
     better than the best state of B minus A, and ties fall back to
     reverse inclusion. The strict part is self dual by construction."""
-    _require(measure, POSSIBILITY)
     space = measure.space
-    _, weights = _int_weights(measure)
-    poss = _poss_int(space.n, weights)
+    _, poss = _int_table(measure, "possibility")
 
     rows = [0] * space.size
     for a in range(space.size):
@@ -292,7 +292,7 @@ def brute_force_ct(values: Sequence) -> bool:
     if 1 << n != size:
         raise ValueError("table length must be a power of two")
     rows = _table_rows(values)
-    return _ac_gap(*_strict_parts(rows, _transpose(rows)), _inclusion_rows(n)) is None
+    return _ac_gap(*_strict_parts(rows, _transpose(rows)), _inclusion_table(n)) is None
 
 
 def classify_acceptance_belief(measure: Measure) -> str:
@@ -306,12 +306,9 @@ def classify_acceptance_belief(measure: Measure) -> str:
     on these monotone tables, Ac says that in every context where
     something is accepted, the kernel is accepted too.
     """
-    _require(measure, MASS)
-    n = measure.space.n
     full = measure.space.full_mask
-    _, weights = _int_weights(measure)
-    bel = _bel_int(n, weights)
-    focal = dict(weights)
+    _, bel = _int_table(measure, "belief")
+    focal = dict(_int_weights(measure)[1])
 
     inclusion = measure.space.inclusion
     acc = _accepted(_table_rows(bel), full, inclusion)
@@ -335,7 +332,7 @@ def classify_acceptance_belief(measure: Measure) -> str:
             label = "twin_singletons"
     if label == "none":
         return "none"
-    if not (brute_force_ct(bel) and brute_force_ct(_pl_int(n, weights))):
+    if not (brute_force_ct(bel) and brute_force_ct(_dual_int(bel))):
         return "none"
     return label
 
@@ -349,12 +346,9 @@ def is_context_tolerant_belief(measure: Measure) -> bool:
     tie between twin singletons is allowed, guarded against focals that
     dodge one twin but not the other.
     """
-    _require(measure, MASS)
-    n = measure.space.n
     full = measure.space.full_mask
-    _, weights = _int_weights(measure)
-    tab = _bel_int(n, weights)
-    focal = dict(weights)
+    _, tab = _int_table(measure, "belief")
+    focal = dict(_int_weights(measure)[1])
     fsets = sorted(focal)
 
     minimals = [f for f in fsets if not any(g != f and g & ~f == 0 for g in fsets)]
@@ -457,11 +451,9 @@ def recognize_ct_plausibility(measure: Measure) -> CtPlausibility:
     """Does the plausibility order stay an acceptance relation in every
     context, and which argument certifies it. Two structural patterns are
     tried first; anything else falls back to the exhaustive check."""
-    _require(measure, MASS)
-    n = measure.space.n
-    _, weights = _int_weights(measure)
-    focal = dict(weights)
-    holds = brute_force_ct(_pl_int(n, weights))
+    _, pl = _int_table(measure, "plausibility")
+    focal = dict(_int_weights(measure)[1])
+    holds = brute_force_ct(pl)
     via = "brute_force"
     if holds:
         if _matches_ranked_singletons(focal):

@@ -7,7 +7,7 @@ increasing bitmask order, which re-evaluates against the relation.
 Transpose and dual are one delta-swap kernel (_delta_swap). A relation's
 transpose is its cols, built once on first use; the strict part, the
 equivalences and completeness all read it (_strict_parts), and the
-space's inclusion table is likewise built once (StateSpace.inclusion).
+space's inclusion table is built once per n (StateSpace.inclusion).
 Apart from Qual, CP and the poles, checkers test a row of events a step:
 
 - T groups events by identical row (_t_gap); MI is one mask test per
@@ -18,8 +18,10 @@ Apart from Qual, CP and the poles, checkers test a row of events a step:
   state x, and one shifted row per b holds every c (_additivity_gap).
 - An up-set gap, a member with a superset outside a set of events, is
   found by one shift-or per state that closes the complement downward
-  (_upward_gap). It decides WEAK_AND/WEAK_OR on the rows a|x > x
-  (_up_rows), and CS, CCS and check_closure on accepted sets.
+  (_upward_gap). It decides CS, CCS and check_closure on accepted sets,
+  and WEAK_AND/WEAK_OR on the first a whose one-state steps b to b|x
+  break, read off the shear rows a|x > x of above (_shear_rows), which
+  also give plausible_union_growth.
 - The events accepted in context c are the parts u <= c with u > c ^ u,
   spread over every u | x with x outside c by the carry-free product
   with inclusion[comp(c)] (_accepted); condition(c) uses the same
@@ -440,28 +442,38 @@ def _additivity_gap(rel, gap) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _up_rows(rel) -> list[int]:
-    """Bit x of row a, for x disjoint from a, is a|x > x: bit a of
-    above[x] >> x, transposed. Bits x that meet a mean nothing."""
+def _shear_rows(rel) -> list[int]:
+    """Row x is above[x] >> x: bit a, for a disjoint from x, is a|x > x.
+    Bits a that meet x mean nothing."""
     _, above = _strict_parts(rel.rows, rel.cols)
-    return _transpose([row >> x for x, row in enumerate(above)])
+    return [row >> x for x, row in enumerate(above)]
 
 
 def _weak_gap(rel, grows: bool) -> Optional[tuple[int, int, int]]:
     """WEAK_AND when grows (disjoint a, b, c: a|b > b gives a|b|c > b|c),
-    else WEAK_OR (the converse). In row a of _up_rows, a WEAK_AND gap is
-    a member b with a superset b|c outside the row, a WEAK_OR gap a
-    non-member b with one inside it."""
+    else WEAK_OR (the converse). For each a, the b disjoint from it with
+    a|b > b (bit a of shear row b) must form an up-set inside comp(a) for
+    WEAK_AND, its complement there for WEAK_OR. A set that is not one has
+    a failing one-state step b to b|x, so the failing a are one mask over
+    the (x, b) steps. The first a's column of shear bits then gives the
+    first (b, b|c) by _upward_gap."""
     full = rel.space.full_mask
     inclusion = rel.space.inclusion
-    for a, up in enumerate(_up_rows(rel)):
-        free = full & ~a
-        found = _upward_gap(up if grows else inclusion[free] & ~up,
-                            inclusion, free)
-        if found:
-            b, sup = found
-            return a, b, sup ^ b
-    return None
+    shear = _shear_rows(rel)
+    bad = 0
+    for x in range(rel.space.n):
+        bit = 1 << x
+        for b in submasks(full ^ bit):
+            low, high = shear[b], shear[b | bit]
+            step = low & ~high if grows else high & ~low
+            bad |= step & inclusion[full & ~(b | bit)]
+    if not bad:
+        return None
+    a = (bad & -bad).bit_length() - 1
+    free = full & ~a
+    up = sum(1 << x for x in submasks(free) if shear[x] >> a & 1)
+    b, sup = _upward_gap(up if grows else inclusion[free] & ~up, inclusion, free)
+    return a, b, sup ^ b
 
 
 def _self_dual_gap(rel):
@@ -690,15 +702,20 @@ def negligibility_chain(rel: ConfidenceRelation) -> Verdict:
 
 def plausible_union_growth(rel: ConfidenceRelation) -> Verdict:
     """B strictly plausible implies A|B strictly above A, for disjoint A.
-    Row b of _up_rows holds bit 0 iff b > 0, and bit a iff b|a > a."""
+    Bit b of shear row 0 is b > 0, and bit b of shear row a is b|a > a,
+    so the first failing b is the lowest plausible one that some shear
+    row misses inside comp(a); a is then its first such row."""
     full = rel.space.full_mask
     inclusion = rel.space.inclusion
-    for b, up in enumerate(_up_rows(rel)):
-        missing = inclusion[full & ~b] & ~up
-        if up & 1 and missing:
-            a = (missing & -missing).bit_length() - 1
-            return Verdict("plausible_union_growth", False, _ev(rel.space, a, b))
-    return Verdict("plausible_union_growth", True)
+    shear = _shear_rows(rel)
+    missed = reduce(or_, (inclusion[full & ~a] & ~row
+                          for a, row in enumerate(shear)))
+    bad = shear[0] & missed
+    if not bad:
+        return Verdict("plausible_union_growth", True)
+    b = (bad & -bad).bit_length() - 1
+    a = next(a for a in submasks(full & ~b) if not shear[a] >> b & 1)
+    return Verdict("plausible_union_growth", False, _ev(rel.space, a, b))
 
 
 def negligibility_collapse(rel: ConfidenceRelation) -> Verdict:

@@ -607,6 +607,34 @@ def reference_weak_or(rows):
     return None
 
 
+def _first_upward_gap(members, within):
+    """First member b inside within with a superset inside within that is
+    not a member, and the lowest such superset."""
+    for b in _ascending_submasks(within):
+        if members >> b & 1:
+            for c in _ascending_submasks(within & ~b):
+                if not members >> (b | c) & 1:
+                    return b, b | c
+    return None
+
+
+def rowwise_weak_gap(rows, grows):
+    """WEAK_AND (grows) or WEAK_OR read row by row: the first a whose
+    members, the b disjoint from a with a|b > b (for WEAK_OR, the other b
+    disjoint from a), are not an up-set inside comp(a), with the first
+    (b, c) that shows it."""
+    full = len(rows) - 1
+    for a in range(full + 1):
+        free = full & ~a
+        members = sum(1 << b for b in _ascending_submasks(free)
+                      if strict_holds(rows, a | b, b) == grows)
+        found = _first_upward_gap(members, free)
+        if found:
+            b, sup = found
+            return a, b, sup ^ b
+    return None
+
+
 def _additivity_triples(rows):
     # a disjoint from b and from c; b and c may overlap
     full = len(rows) - 1

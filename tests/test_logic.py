@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from confrel import (
@@ -32,6 +34,23 @@ def test_precedence_and_associativity():
 def test_to_text_roundtrips_structure(text):
     f = parse(text)
     assert parse(to_text(f)) == f
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([Atom("a"), Atom("b"), Atom("c"), Const(True),
+                           Const(False)])
+    kind = rng.choice([Not, And, Or, Implies])
+    if kind is Not:
+        return Not(_random_formula(rng, depth - 1))
+    return kind(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def test_to_text_roundtrips_generated_formulas():
+    rng = random.Random(3)
+    for _ in range(10000):
+        f = _random_formula(rng, rng.randint(1, 7))
+        assert parse(to_text(f)) == f, f
 
 
 @pytest.mark.parametrize("text", [

@@ -7,6 +7,7 @@ import pytest
 from confrel import (
     CtPlausibility,
     KindMismatch,
+    SpaceMismatch,
     ZeroDenominator,
     brute_force_ct,
     check_axiom,
@@ -140,6 +141,39 @@ def test_flavor_kind_mismatches(s3):
         table_for(mass(s3, {7: 1}), "necessity")
     with pytest.raises(KindMismatch):
         table_for(uniform_probability(s3), "entropy")
+    # a flavor that is no set function's name, hashable or not
+    for flavor in (1, ["belief"], {}):
+        with pytest.raises(KindMismatch):
+            table_for(mass(s3, {7: 1}), flavor)
+
+
+def test_values_are_read_only_for_events_of_the_measure_space(s3):
+    m = uniform_probability(make_space(["a", "b"]))
+    table = condition_measure(m, m.space.full(), "geometric")
+    for event in (s3.event(["s1", "s2"]), s3.full(), s3.empty()):
+        with pytest.raises(SpaceMismatch):
+            evaluate_measure(m, event)
+        with pytest.raises(SpaceMismatch):
+            table(event)
+    a = m.space.event(["a"])
+    assert evaluate_measure(m, a) == table(a) == F(1, 2)
+
+
+def test_induced_orders_read_integer_tables(monkeypatch):
+    # induce_relation sorts the integer table; only table_for makes
+    # Fractions, so it must not run
+    rng = random.Random(5)
+    sp = make_space(["s1", "s2", "s3", "s4"])
+    measures = [(random_possibility(sp, rng), "necessity"),
+                (random_mass(sp, rng), "plausibility"),
+                (uniform_probability(sp), None)]
+    expected = [relation_from_table(sp, table_for(m, f)) for m, f in measures]
+
+    def refused(*args):
+        raise AssertionError("table_for called")
+
+    monkeypatch.setattr("confrel.measures.table_for", refused)
+    assert [induce_relation(m, f) for m, f in measures] == expected
 
 
 def test_relation_from_table_groups_ties(s2):
@@ -239,13 +273,17 @@ def test_classification_implies_acceptance_both_ways(s3):
             assert bel_ok and pl_ok
 
 
-def test_context_tolerant_belief_matches_brute_force(s3):
+def test_context_tolerant_belief_matches_brute_force():
     rng = random.Random(29)
-    for _ in range(250):
-        m = random_mass(s3, rng)
+    spaces = [make_space([f"s{i}" for i in range(n)]) for n in (3, 4, 5, 6)]
+    verdicts = Counter()
+    for i in range(2000):
+        m = random_mass(spaces[i % 4], rng)
         structural = is_context_tolerant_belief(m)
-        exhaustive = brute_force_ct(table_for(m, "belief"))
-        assert structural == exhaustive
+        assert structural == brute_force_ct(table_for(m, "belief")), m
+        verdicts[m.space.n > 3, structural] += 1
+    # 1,500 masses at four to six states
+    assert min(verdicts[True, True], verdicts[True, False]) >= 300, verdicts
 
 
 def test_ct_plausibility_via_labels(s3):

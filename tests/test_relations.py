@@ -68,6 +68,7 @@ from oracles import (
     reference_type_or,
     reference_weak_and,
     reference_weak_or,
+    rowwise_weak_gap,
 )
 
 
@@ -584,6 +585,57 @@ def test_additivity_family_matches_per_bit_loops():
         # past two states, where a composite a could come first
         assert min(outcomes[name, holds, True]
                    for holds in (True, False)) >= 50, outcomes
+
+
+def _growth_matrices(rng, count):
+    # at 1 to 6 states: random rows, orders of tables with ties, of
+    # possibility-like max tables (which keep WEAK_OR), of probability-like
+    # sum tables (which keep WEAK_AND), and of either with a weak bit or
+    # two knocked out
+    for i in range(count):
+        n = 1 + i % 6
+        size = 1 << n
+        kind = i // 6 % 5
+        if kind == 0:
+            yield n, tuple(rng.getrandbits(size) for _ in range(size))
+            continue
+        weights = [rng.randrange(1, 4) for _ in range(n)]
+        picked = [[w for j, w in enumerate(weights) if a >> j & 1]
+                  for a in range(size)]
+        if kind == 1:
+            values = [rng.randrange(3) for _ in range(size)]
+        elif kind == 2 or kind == 4 and rng.random() < 0.5:
+            values = [max(p, default=0) for p in picked]
+        else:
+            values = [sum(p) for p in picked]
+        rows = [sum(1 << b for b in range(size) if values[a] >= values[b])
+                for a in range(size)]
+        if kind == 4:
+            for _ in range(rng.randint(1, 2)):
+                rows[rng.randrange(size)] &= ~(1 << rng.randrange(size))
+        yield n, tuple(rows)
+
+
+def test_growth_axioms_match_row_by_row_and_per_bit_loops():
+    # WEAK_AND, WEAK_OR and plausible union growth read the shear rows
+    # of one transpose; the row-by-row reading of their transpose and
+    # the triple loops must give the same first witness
+    outcomes = Counter()
+    for n, rows in _growth_matrices(random.Random(11), 2100):
+        rel = ConfidenceRelation(make_space([f"s{i}" for i in range(n)]), rows)
+        for axiom, grows, reference in (("WEAK_AND", True, reference_weak_and),
+                                        ("WEAK_OR", False, reference_weak_or)):
+            found = _bits_of(check_axiom(rel, axiom))
+            assert found == rowwise_weak_gap(rows, grows), (axiom, rows)
+            assert found == reference(rows), (axiom, rows)
+            outcomes[axiom, found is None, n > 4] += 1
+        found = _bits_of(plausible_union_growth(rel))
+        assert found == reference_plausible_union_growth(rows), rows
+        outcomes["growth", found is None, n > 4] += 1
+    for name in ("WEAK_AND", "WEAK_OR", "growth"):
+        for holds in (True, False):
+            assert outcomes[name, holds, False] >= 100, outcomes
+            assert outcomes[name, holds, True] >= 50, outcomes
 
 
 def _violated(rel, axiom, witness):
