@@ -17,7 +17,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .core import Event, StateSpace, _bits, _inclusion_table, submasks
-from .errors import KindMismatch, ZeroDenominator
+from .errors import KindMismatch, SpaceMismatch, ZeroDenominator
 from .relations import (ConfidenceRelation, _ac_gap, _accepted, _kernel,
                         _strict_parts, _transpose)
 
@@ -224,17 +224,34 @@ def induce_sup_relation(measure: Measure) -> ConfidenceRelation:
     """Partial order from a possibility distribution by comparing set
     differences: A beats B when the best state of A minus B is strictly
     better than the best state of B minus A, and ties fall back to
-    reverse inclusion. The strict part is self dual by construction."""
-    space = measure.space
-    _, poss = _int_table(measure, "possibility")
+    reverse inclusion. The strict part is self dual by construction.
 
-    rows = [0] * space.size
-    for a in range(space.size):
-        row = 0
-        for b in range(space.size):
-            if b & ~a == 0 or poss[a & ~b] > poss[b & ~a]:
-                row |= 1 << b
-        rows[a] = row
+    Built by possibility levels over whole rows. With U_t the states at
+    level t or above and L_t those at exactly t, a >= b iff b <= a, or
+    for some positive level t, b meets no state of U_t - a and misses a
+    state of c = a & L_t. The b inside m = a | comp(U_t) are inclusion[m],
+    and those that hold all of c are inclusion[m - c] << c (a shift
+    without carries, as in _accepted), so row a is inclusion[a] ORed with
+    inclusion[m] & ~(inclusion[m - c] << c) for each level where c is not
+    empty."""
+    _require(measure, POSSIBILITY)
+    space = measure.space
+    full, inclusion = space.full_mask, space.inclusion
+    levels: dict[int, int] = {}
+    for state, degree in _int_weights(measure)[1]:
+        if degree:
+            levels[degree] = levels.get(degree, 0) | state
+
+    rows = list(inclusion)
+    upper = 0
+    for degree in sorted(levels, reverse=True):
+        level = levels[degree]
+        upper |= level
+        for a in range(space.size):
+            c = a & level
+            if c:
+                m = full & ~(upper & ~a)
+                rows[a] |= inclusion[m] & ~(inclusion[m & ~c] << c)
     return ConfidenceRelation(space, tuple(rows))
 
 
@@ -472,7 +489,7 @@ def condition_measure(measure: Measure, context: Event, rule: str, flavor=None):
     table. The qualitative rule conditions the induced order instead and
     returns a relation."""
     if context.space != measure.space:
-        raise KindMismatch("context from a different space")
+        raise SpaceMismatch("context from a different space")
     if rule == "qualitative":
         return induce_relation(measure, flavor).condition(context)
     lower = {PROBABILITY: "probability", POSSIBILITY: "necessity", MASS: "belief"}

@@ -8,7 +8,7 @@ Transpose and dual are one delta-swap kernel (_delta_swap). A relation's
 transpose is its cols, built once on first use; the strict part, the
 equivalences and completeness all read it (_strict_parts), and the
 space's inclusion table is built once per n (StateSpace.inclusion).
-Apart from Qual, CP and the poles, checkers test a row of events a step:
+Checkers test a row of events a step:
 
 - T groups events by identical row (_t_gap); MI is one mask test per
   row; O and Ac scan with all b2 or c at once (_o_gap, _ac_steps, shared
@@ -22,6 +22,10 @@ Apart from Qual, CP and the poles, checkers test a row of events a step:
   and WEAK_AND/WEAK_OR on the first a whose one-state steps b to b|x
   break, read off the shear rows a|x > x of above (_shear_rows), which
   also give plausible_union_growth.
+- Qual takes every c of one (a, b) at once, spreading the shifted rows
+  over the parts of c inside a and inside b by carry-free products
+  (_qual_gap). SELF_DUAL reads dual row a as cols[comp(a)] reversed, and
+  CP and the poles are a mask on row and column 0 or full (_reversed_bits).
 - The events accepted in context c are the parts u <= c with u > c ^ u,
   spread over every u | x with x outside c by the carry-free product
   with inclusion[comp(c)] (_accepted); condition(c) uses the same
@@ -332,10 +336,24 @@ def _ac_gap(strict, above, inclusion) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _qual_gap(rel):
-    for a, b, c in product(range(rel.space.size), repeat=3):
-        if rel.s(a | b, c) and rel.s(a | c, b) and not rel.s(a, b | c):
-            return a, b, c
+def _qual_gap(rel) -> Optional[tuple[int, int, int]]:
+    """First (a, b, c), in product order, with a|b > c and a|c > b but
+    not a > b|c; every c of one (a, b) at once. c splits into a part
+    outside a and one inside it: bit x of above[b] >> a, for x outside a,
+    is a|x > b, and the carry-free product with inclusion[a] spreads it
+    over every x | d with d inside a. strict[a] >> b, spread over the
+    parts inside b, marks a > b|c the same way."""
+    strict, above = _strict_parts(rel.rows, rel.cols)
+    inclusion, full = rel.space.inclusion, rel.space.full_mask
+    for a in range(rel.space.size):
+        inside, outside = inclusion[a], inclusion[full & ~a]
+        for b in range(rel.space.size):
+            cs = strict[a | b]
+            if cs:
+                cs &= ((above[b] >> a & outside) * inside
+                       & ~((strict[a] >> b & inclusion[full & ~b]) * inclusion[b]))
+                if cs:
+                    return a, b, (cs & -cs).bit_length() - 1
     return None
 
 
@@ -476,20 +494,39 @@ def _weak_gap(rel, grows: bool) -> Optional[tuple[int, int, int]]:
     return a, b, sup ^ b
 
 
+def _reversed_bits(x: int, size: int) -> int:
+    """x read as size bits in reverse order: bit i goes to bit size-1-i,
+    which for a row of events is bit comp(i)."""
+    return int(format(x, f"0{size}b")[::-1], 2)
+
+
 def _self_dual_gap(rel):
-    for a, (row, dual) in enumerate(zip(rel.rows, _dual_rows(rel.rows))):
-        if row != dual:
-            diff = row ^ dual
+    """First (a, b) where the relation and its dual differ. Row a of the
+    dual is cols[comp(a)] reversed, built one row at a time, so an order
+    that fails early pays only for the rows up to its witness."""
+    full, size = rel.space.full_mask, rel.space.size
+    cols = rel.cols
+    for a, row in enumerate(rel.rows):
+        diff = row ^ _reversed_bits(cols[full & ~a], size)
+        if diff:
             return a, (diff & -diff).bit_length() - 1
     return None
 
 
+def _cp_gap(rel):
+    """First event a with the empty event strictly above it: the lowest
+    bit of rows[0] that cols[0] lacks."""
+    found = rel.rows[0] & ~rel.cols[0]
+    return ((found & -found).bit_length() - 1,) if found else None
+
+
 def _pole_gap(rel, pole: int):
     """POSS_LIKE (pole empty) or CERT_LIKE (pole full): the first event
-    that is equivalent to the pole together with its complement."""
-    full = rel.space.full_mask
-    return next(((a,) for a in range(rel.space.size)
-                 if rel.e(a, pole) and rel.e(full & ~a, pole)), None)
+    that is equivalent to the pole together with its complement. e holds
+    the events equivalent to the pole; reversed, bit a is comp(a)'s."""
+    e = rel.rows[pole] & rel.cols[pole]
+    found = e & _reversed_bits(e, rel.space.size)
+    return ((found & -found).bit_length() - 1,) if found else None
 
 
 # each checker gives the first witness, as masks, or None
@@ -503,8 +540,7 @@ _CHECKERS = {
     "Ac": lambda rel: _ac_gap(*_strict_parts(rel.rows, rel.cols),
                               rel.space.inclusion),
     "Qual": _qual_gap,
-    "CP": lambda rel: next(((a,) for a in range(rel.space.size)
-                            if rel.s(0, a)), None),
+    "CP": _cp_gap,
     "CS": lambda rel: _full_gap(rel, _upward_gap),
     "AND": lambda rel: _full_gap(rel, _intersection_gap),
     "CCS": lambda rel: _context_gap(rel, _upward_gap),

@@ -78,6 +78,24 @@ def naive_sup_rows(values):
     )
 
 
+def reference_sup_rows(values):
+    """The same order by one (a, b) pair per step over a table of the
+    possibility of every event, each the larger of its low state's
+    degree and that of the rest; faster than naive_sup_rows at n >= 9."""
+    size = 1 << len(values)
+    poss = [0] * size
+    for a in range(1, size):
+        poss[a] = max(poss[a & (a - 1)], values[(a & -a).bit_length() - 1])
+    rows = []
+    for a in range(size):
+        row = 0
+        for b in range(size):
+            if b & ~a == 0 or poss[a & ~b] > poss[b & ~a]:
+                row |= 1 << b
+        rows.append(row)
+    return tuple(rows)
+
+
 def weak_holds(rows, a, b):
     return bool(rows[a] >> b & 1)
 

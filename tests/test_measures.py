@@ -34,7 +34,8 @@ from confrel import (
     uniform_probability,
 )
 from oracles import (naive_bel, naive_pl, naive_poss, naive_sup_rows,
-                     reference_brute_force_ct, reference_kernel_in_every_context)
+                     reference_brute_force_ct, reference_kernel_in_every_context,
+                     reference_sup_rows)
 
 F = Fraction
 
@@ -112,18 +113,32 @@ def test_necessity_is_one_minus_possibility_of_complement(s3):
     assert poss[0] == 0 and poss[full] == 1
 
 
+def _possibility_draws(rng, n, count):
+    """Distributions with zero degrees and from one to n distinct positive
+    levels: k levels j/k, some states at 0, one state at 1."""
+    draws = [([F(1)] + [F(0), F(1, 2), F(1, 2), F(1)] * n)[:n],
+             [F(i + 1, n) for i in range(n)]]
+    while len(draws) < count:
+        k = rng.randint(1, n)
+        if rng.random() < 0.3:
+            values = [F(1 + i % k, k) for i in range(n)]
+            rng.shuffle(values)
+        else:
+            values = [F(rng.randint(0, k), k) for _ in range(n)]
+            values[rng.randrange(n)] = F(1)
+        draws.append(values)
+    return draws
+
+
 def test_possibility_tables_and_sup_order_match_naive_max():
+    # 1,042 distributions, fewer where the naive rows cost more
     rng = random.Random(5)
-    grid = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
-    for n in range(1, 6):
+    outcomes = Counter()
+    for n, count in ((1, 30), (2, 250), (3, 250), (4, 250), (5, 200),
+                     (6, 50), (7, 12)):
         space = make_space([f"s{i}" for i in range(n)])
         full = space.full_mask
-        draws = [[F(1)] + [F(0), F(1, 2), F(1, 2), F(1)][:n - 1]]
-        for _ in range(8):
-            values = [rng.choice(grid) for _ in range(n)]
-            values[rng.randrange(n)] = F(1)
-            draws.append(values)
-        for values in draws:
+        for values in _possibility_draws(rng, n, count):
             m = possibility(space, values)
             poss = table_for(m, "possibility")
             nec = table_for(m, "necessity")
@@ -131,7 +146,24 @@ def test_possibility_tables_and_sup_order_match_naive_max():
                 assert type(poss[a]) is F and type(nec[a]) is F
                 assert poss[a] == naive_poss(values, a)
                 assert nec[a] == 1 - naive_poss(values, full & ~a)
-            assert induce_sup_relation(m).rows == naive_sup_rows(values)
+            assert induce_sup_relation(m).rows == naive_sup_rows(values), values
+            outcomes["zero", F(0) in values] += 1
+            outcomes["levels", len(set(values) - {F(0)})] += 1
+    assert min(outcomes["zero", True], outcomes["zero", False]) >= 300, outcomes
+    assert all(outcomes["levels", k] for k in range(1, 8)), outcomes
+    assert all(outcomes["levels", k] >= 50 for k in range(1, 5)), outcomes
+
+
+def test_sup_order_matches_the_pair_loop_at_nine_and_ten_states():
+    rng = random.Random(19)
+    for n in (9, 10):
+        space = make_space([f"s{i}" for i in range(n)])
+        for values in ([F(1 + i % 3, 3) for i in range(n)],
+                       [F(rng.randint(0, n), n) for _ in range(n - 1)] + [F(1)]):
+            rows = induce_sup_relation(possibility(space, values)).rows
+            assert rows == reference_sup_rows(values), values
+    with pytest.raises(KindMismatch):
+        induce_sup_relation(uniform_probability(space))
 
 
 def test_flavor_kind_mismatches(s3):
@@ -311,8 +343,9 @@ def test_condition_measure_rules():
         condition_measure(m, sp.singleton("s2"), "geometric")
     with pytest.raises(ValueError):
         condition_measure(m, ctx, "bayes")
-    with pytest.raises(KindMismatch):
-        condition_measure(m, make_space(["s1", "s2"]).full(), "geometric")
+    for rule in ("geometric", "dempster", "qualitative"):
+        with pytest.raises(SpaceMismatch):
+            condition_measure(m, make_space(["s1", "s2"]).full(), rule)
 
 
 def test_generators_are_deterministic(s3):

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from fractions import Fraction as F
 from functools import reduce
 from operator import or_
 from pathlib import Path
@@ -22,6 +23,8 @@ from confrel import (
     close_strict_pairs,
     conditional_kernel_characterization,
     constrain,
+    induce_relation,
+    induce_sup_relation,
     is_acceptance,
     is_acceptance_preorder,
     kernel_characterization,
@@ -30,6 +33,7 @@ from confrel import (
     mass,
     negligibility_chain,
     plausible_union_growth,
+    possibility,
     strict_order_from_chain,
 )
 from confrel import core, relations
@@ -434,7 +438,8 @@ def test_checkers_share_one_transpose_and_one_inclusion_table(view_builds):
     # space's inclusion table, each built once
     space = make_space(["s1", "s2", "s3", "s4"])
     rel = from_table(space, [3 * a.bit_count() - (a & 5) for a in range(16)])
-    for axiom in ("T", "MI", "O", "Ac", "CS", "AND", "ADD"):
+    for axiom in ("T", "MI", "O", "Ac", "CS", "AND", "ADD", "Qual", "CP",
+                  "SELF_DUAL", "POSS_LIKE", "CERT_LIKE"):
         check_axiom(rel, axiom)
     assert view_builds == {"delta_swap": 1, "inclusion": 1}
 
@@ -544,6 +549,44 @@ def test_strict_part_checkers_match_per_bit_loops():
     for name in ("T", "MI", "O", "Ac", "WEAK_AND", "WEAK_OR", "SELF_DUAL",
                  "complete"):
         assert min(outcomes[name, True], outcomes[name, False]) >= 100, outcomes
+
+
+def _measure_orders(rng):
+    # possibility, necessity, sup, belief and plausibility orders at
+    # n = 5..7, with ties and zero degrees
+    for n in (5, 6, 7):
+        space = make_space([f"s{i}" for i in range(n)])
+        values = [F(rng.randint(0, 3), 3) for _ in range(n - 1)] + [F(1)]
+        poss = possibility(space, values)
+        yield induce_sup_relation(poss)
+        yield induce_relation(poss, "necessity")
+        yield induce_relation(poss)
+        if n < 7:
+            focal = {m: F(1, 3) for m in rng.sample(range(1, 1 << n), 3)}
+            yield induce_relation(mass(space, focal))
+            yield induce_relation(mass(space, focal), "plausibility")
+
+
+def test_qual_cp_self_dual_and_poles_match_per_bit_loops():
+    # random rows, monotone tables with weak bits knocked out and strict
+    # parts at n = 1..4, none of them a preorder, and measure orders
+    outcomes = Counter()
+    matrices = [(n, rows) for n, rows in _family_matrices(random.Random(21), 5400,
+                                                          kinds=5)
+                if any(not row >> a & 1 for a, row in enumerate(rows))
+                or relations._t_gap(rows) is not None]
+    assert len(matrices) >= 3000
+    cases = [ConfidenceRelation(make_space([f"s{i}" for i in range(n)]), rows)
+             for n, rows in matrices]
+    cases += _measure_orders(random.Random(22))
+    axioms = ("Qual", "CP", "SELF_DUAL", "POSS_LIKE", "CERT_LIKE")
+    for rel in cases:
+        for axiom in axioms:
+            verdict = check_axiom(rel, axiom)
+            assert _bits_of(verdict) == _REFERENCES[axiom](rel.rows), (axiom, rel.rows)
+            outcomes[axiom, verdict.holds] += 1
+    for axiom in axioms:
+        assert min(outcomes[axiom, True], outcomes[axiom, False]) >= 300, outcomes
 
 
 def _additive_matrices(rng, count):
