@@ -55,10 +55,24 @@ def _names(doc: dict, key: str, where: str) -> list[str]:
 
 def _event_pairs(space: StateSpace, pairs, field: str) -> list:
     # (mask, mask) pairs; reading checks the shape: an entry that is not a
-    # pair of name lists fails inside the comprehension, at no cost
+    # pair of name lists fails inside the comprehension, at no cost. A file
+    # repeats each event many times, so each distinct list of names is
+    # decoded once; any other value goes to space._mask, which refuses a
+    # string or a mapping even when an equal list came before it
+    decoded: dict[tuple, int] = {}
+
+    def mask(names) -> int:
+        if type(names) is not list:
+            return space._mask(names)
+        key = tuple(names)
+        bits = decoded.get(key)
+        if bits is None:
+            bits = decoded[key] = space._mask(names)
+        return bits
+
     try:
         if isinstance(pairs, list):
-            return [(space._mask(a), space._mask(b)) for a, b in pairs]
+            return [(mask(a), mask(b)) for a, b in pairs]
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{field} must list pairs of events, each a list of "

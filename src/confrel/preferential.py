@@ -11,8 +11,10 @@ closure immediately.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .core import Event, StateSpace, submasks
@@ -115,9 +117,24 @@ class ConditionalBase:
 
 
 def make_base(space: StateSpace, conditionals) -> ConditionalBase:
+    """The base of the given conditionals or raw (supporting, violating)
+    mask pairs. A conditional must be over `space`, a raw pair two
+    disjoint masks of it: the closure reads every mask state by state."""
+    full = space.full_mask
     pairs = set()
     for cond in conditionals:
-        pairs.add(cond.pair() if isinstance(cond, Conditional) else tuple(cond))
+        if isinstance(cond, Conditional):
+            if cond.supporting.space != space:
+                raise SpaceMismatch("conditional from another state space")
+            pairs.add(cond.pair())
+            continue
+        pair = tuple(cond)
+        if not (len(pair) == 2
+                and all(isinstance(m, int) and 0 <= m <= full for m in pair)
+                and not pair[0] & pair[1]):
+            raise ValueError(f"{cond!r} is not a pair of disjoint masks "
+                             f"in 0..{full}")
+        pairs.add(pair)
     return ConditionalBase(space, tuple(sorted(pairs)))
 
 
@@ -167,15 +184,106 @@ def _context_index(ordered) -> dict[int, list[Pair]]:
     return index
 
 
-def _partners(name: str, p: Pair, ordered, by_context) -> Sequence[Pair]:
-    """The pairs q, in the order of `ordered`, that binary rule `name` can
+def _partners(name: str, p: Pair, by_context) -> Sequence[Pair]:
+    """The pairs q, in the order of the index, that binary rule `name` can
     join with p: CAND and CM need q in p's context, CUT needs q's context
-    to be p's supporting side. OR has no such key and scans them all.
-    `by_context` is `_context_index(ordered)`.
+    to be p's supporting side. CAND is symmetric, so it takes only the q
+    after p in its bucket (see `_or_joins`). `by_context` is a
+    `_context_index` of a sorted list.
     """
-    if name == "OR":
-        return ordered
-    return by_context.get(p[0] if name == "CUT" else p[0] | p[1], ())
+    if name == "CUT":
+        return by_context.get(p[0], ())
+    bucket = by_context.get(p[0] | p[1], ())
+    if name == "CAND":
+        return bucket[bisect_right(bucket, p):]
+    return bucket
+
+
+def _keyed_joins(name, rule, known, ordered, by_context, new=None,
+                 new_by_context=None) -> Iterator[tuple[Pair, Pair, Pair]]:
+    """(p, q, conclusion) of CAND, CM or CUT with a conclusion not in
+    `known` at the time it is found: p over `ordered`, q over its
+    `_partners`. With `new`, only the (p, q) with p or q in `new`, whose
+    own index is `new_by_context`."""
+    for p in ordered:
+        index = by_context if new is None or p in new else new_by_context
+        for q in _partners(name, p, index):
+            conclusion = rule(p, q)
+            if conclusion is not None and conclusion not in known:
+                yield p, q, conclusion
+
+
+def _or_joins(known, ordered, n: int,
+              new=None) -> Iterator[tuple[Pair, Pair, Pair]]:
+    """(p, q, rule_or(p, q)) with a conclusion not in `known` at the time
+    it is found: p over `ordered`, q after p in `ordered`, compatible with
+    p and not containing p half by half. With `new`, only the (p, q) with
+    p or q in `new`. Every mask must lie in n states.
+
+    OR is symmetric and so is the set of (p, q) a scan visits, so the
+    first (p, q) in p-major, q-ascending order to give a conclusion has q
+    after p (q = p gives p back). A q with q0 >= p0 and q1 >= p1 gives q
+    back. Dropping the rest leaves the first producer of every new
+    conclusion as a scan of all (p, q) finds it.
+
+    Bit i of sup[s] (vio[s]) is set when state s lies in the supporting
+    (violating) side of ordered[i]. The q that clash with p are the OR of
+    vio over p0 and of sup over p1; those that contain p are the AND of
+    sup over p0 and of vio over p1. Both are found once per distinct side.
+    """
+    by_sup: dict[int, int] = {}
+    by_vio: dict[int, int] = {}
+    fresh = 0
+    for i, (e, f) in enumerate(ordered):
+        bit = 1 << i
+        by_sup[e] = by_sup.get(e, 0) | bit
+        by_vio[f] = by_vio.get(f, 0) | bit
+        if new is None or (e, f) in new:
+            fresh |= bit
+    sup = _by_state(by_sup, n)
+    vio = _by_state(by_vio, n)
+    sup_side = {e: _side_masks(e, vio, sup, n) for e in by_sup}
+    vio_side = {f: _side_masks(f, sup, vio, n) for f in by_vio}
+    everything = (1 << len(ordered)) - 1
+    for i, p in enumerate(ordered):
+        pool = everything if fresh >> i & 1 else fresh
+        later = pool >> (i + 1) << (i + 1)
+        if not later:
+            continue
+        e, f = p
+        clash0, covering0 = sup_side[e]
+        clash1, covering1 = vio_side[f]
+        left = later & ~(clash0 | clash1 | covering0 & covering1)
+        while left:
+            low = left & -left
+            q = ordered[low.bit_length() - 1]
+            conclusion = (e | q[0], f | q[1])
+            if conclusion not in known:
+                yield p, q, conclusion
+            left ^= low
+
+
+def _by_state(by_side: dict[int, int], n: int) -> list[int]:
+    """Per state s, the OR of the position sets of the sides holding s."""
+    out = [0] * n
+    for side, positions in by_side.items():
+        for s in range(n):
+            if side >> s & 1:
+                out[s] |= positions
+    return out
+
+
+def _side_masks(side: int, other: list[int], same: list[int],
+                n: int) -> tuple[int, int]:
+    """The positions whose other half meets `side`, and those whose same
+    half contains it."""
+    clash = 0
+    covering = -1
+    for s in range(n):
+        if side >> s & 1:
+            clash |= other[s]
+            covering &= same[s]
+    return clash, covering
 
 
 def close_p(base: ConditionalBase) -> ConditionalBase:
@@ -191,12 +299,21 @@ def close_p(base: ConditionalBase) -> ConditionalBase:
     in the last round, and RW runs on new pairs only. Every conclusion of
     two older pairs was derived in an earlier round, so skipping them
     leaves each round's new pairs, their order and their recorded
-    premises as a whole-snapshot round would give them. The joins read a
-    by-context index of the snapshot and of the new pairs (see
-    `_partners`); OR, which has no key, scans new x all.
+    premises as a whole-snapshot round would give them. CAND, CM and CUT
+    read a by-context index of the snapshot and of the new pairs (see
+    `_partners`). OR and CAND are symmetric, so they join p only with the
+    q after it, and OR reads per-state bitsets that drop the q which clash
+    with p or contain it (see `_or_joins`): neither skip changes the first
+    producer of a new pair.
+
+    The joins read only the snapshot, so a round's new pairs enter the
+    table as they are found and the joins pass over a conclusion already
+    there. When the round has found a pair with empty supporting side,
+    the pairs found after it are taken out again.
     """
     if base.closed:
         return base
+    n = base.space.n
     pairs: dict[Pair, Provenance] = {}
     bad: Optional[Pair] = None
     for p in base.pairs:
@@ -209,30 +326,29 @@ def close_p(base: ConditionalBase) -> ConditionalBase:
         by_context = _context_index(snapshot)
         delta = sorted(new)
         delta_by_context = _context_index(delta)
-        fresh: dict[Pair, Provenance] = {}
+        start = len(pairs)
         for name, rule in _BINARY_RULES:
-            for p in snapshot:
-                if p in new:
-                    partners = _partners(name, p, snapshot, by_context)
-                else:
-                    partners = _partners(name, p, delta, delta_by_context)
-                for q in partners:
-                    candidate = rule(p, q)
-                    if (candidate is not None and candidate not in pairs
-                            and candidate not in fresh):
-                        fresh[candidate] = Provenance(name, (p, q))
+            if name == "OR":
+                joins = _or_joins(pairs, snapshot, n, new)
+            else:
+                joins = _keyed_joins(name, rule, pairs, snapshot, by_context,
+                                     new, delta_by_context)
+            for p, q, candidate in joins:
+                pairs[candidate] = Provenance(name, (p, q))
         for p in delta:
             for candidate in rule_rw(p):
-                if candidate not in pairs and candidate not in fresh:
-                    fresh[candidate] = Provenance("RW", (p,))
+                if candidate not in pairs:
+                    pairs[candidate] = Provenance("RW", (p,))
+        fresh = list(islice(pairs, start, None))
         if not fresh:
             break
-        for candidate, prov in fresh.items():
-            pairs[candidate] = prov
+        for i, candidate in enumerate(fresh):
             if candidate[0] == 0:
                 bad = candidate
+                for later in fresh[i + 1:]:
+                    del pairs[later]
                 break
-        new = fresh.keys()
+        new = set(fresh)
     return ConditionalBase(
         base.space,
         tuple(sorted(pairs)),
@@ -244,6 +360,8 @@ def close_p(base: ConditionalBase) -> ConditionalBase:
 
 
 def entails(base: ConditionalBase, query: Conditional) -> bool:
+    if query.supporting.space != base.space:
+        raise SpaceMismatch("query from another state space than the base")
     if query.context.bits == 0:
         raise EmptyAntecedent("query antecedent has no models")
     closed = base if base.closed else close_p(base)
@@ -276,12 +394,16 @@ def _first(name: str, witnesses) -> Verdict:
 
 
 def _unclosed(space, members, ordered, name, rule) -> Iterator[tuple]:
-    by_context = _context_index(ordered)
-    for p in ordered:
-        for q in _partners(name, p, ordered, by_context):
-            conclusion = rule(p, q)
-            if conclusion is not None and conclusion not in members:
-                yield _pair_events(space, p, q, conclusion)
+    """Witnesses (p, q, conclusion) of binary rule `name` over `ordered`
+    whose conclusion is not in `members`. The first is the one a scan of
+    all (p, q), p-major and q ascending, finds first."""
+    if name == "OR":
+        joins = _or_joins(members, ordered, space.n)
+    else:
+        joins = _keyed_joins(name, rule, members, ordered,
+                             _context_index(ordered))
+    for p, q, conclusion in joins:
+        yield _pair_events(space, p, q, conclusion)
 
 
 def _empty_support(space, ordered) -> Iterator[tuple]:

@@ -75,6 +75,28 @@ def test_max_states_guard_applies():
     assert load_kb(kb, max_states=13)[0].space.n == 13
 
 
+# an event list is decoded once per file; a string or a mapping equal to
+# a list read before it must still be refused, never served from that list
+@pytest.mark.parametrize("event", ["ab", {"a": 1, "b": 1}])
+def test_event_after_an_equal_list_is_read_on_its_own(event):
+    doc = {"states": ["a", "b"], "pairs": [[["a", "b"], ["b"]], [event, []]]}
+    with pytest.raises(ValueError, match="each a list of state names"):
+        load_relation(doc)
+    with pytest.raises(ValueError, match="each a list of state names"):
+        load_family({"states": ["a", "b"], "members": [doc["pairs"]]})
+
+
+def test_repeated_event_lists_decode_alike(s3):
+    rel = necessity_relation(s3)
+    doc = dump_relation(rel)
+    assert load_relation(doc) == rel
+    # each pair list fresh, and names in another order
+    doc["pairs"] = [[list(reversed(a)), b[:]] for a, b in doc["pairs"]]
+    assert load_relation(doc) == rel
+    with pytest.raises(KeyError):
+        load_relation({"states": ["a"], "pairs": [[["a"], []], [["a", "z"], []]]})
+
+
 def test_measure_roundtrips(s3):
     for m in (
         uniform_probability(s3),

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 
 import pytest
 
@@ -9,6 +10,7 @@ from confrel import (
     EmptyAntecedent,
     LabelledSpace,
     ReflexiveAssertion,
+    SpaceMismatch,
     close_p,
     conditional_from_formulas,
     entails,
@@ -77,6 +79,33 @@ def test_penguin_entailments():
     assert entails(base, conditional_from_formulas(u, "b & p", "!f"))
     with pytest.raises(EmptyAntecedent):
         entails(base, conditional_from_formulas(u, "f & !f", "b", allow_trivial=True))
+
+
+# raw pairs that are not two disjoint masks of a 3-state space: halves
+# that overlap, masks out of range (a negative one would keep the closure's
+# submask loop from ending), and entries that are no pair of ints
+@pytest.mark.parametrize("pair", [
+    (3, 1), (1, 16), (8, 0), (1, -2), (-1, 0), (1,), (1, 2, 4), ("1", 2),
+    (1.0, 2), (None, 0),
+])
+def test_make_base_refuses_malformed_raw_pairs(s3, pair):
+    # make_base alone must raise: no closure of a malformed base is tried
+    with pytest.raises(ValueError):
+        make_base(s3, [(1, 2), pair])
+
+
+def test_make_base_and_entails_refuse_other_spaces():
+    small = AtomUniverse(["a", "b"])
+    u, base = penguin_base()
+    foreign = conditional_from_formulas(small, "a", "b")
+    with pytest.raises(SpaceMismatch):
+        make_base(u.space, [conditional_from_formulas(u, "b", "f"), foreign])
+    with pytest.raises(SpaceMismatch):
+        entails(base, foreign)
+    with pytest.raises(SpaceMismatch):
+        entails(close_p(base), foreign)
+    # raw pairs over the full range, and the empty supporting side, pass
+    assert make_base(u.space, [(255, 0), (0, 1)]).pairs == ((0, 1), (255, 0))
 
 
 def test_derivations_replay():
@@ -180,13 +209,66 @@ def seeded_bases(count, seed=1990):
     return bases
 
 
+# the rule shapes of the template rule bases, over atom roles x, y, z; a
+# leading '!' negates the role
+TEMPLATE_SHAPES = {
+    "penguin": (("y", "z"), ("x", "y"), ("x", "!z")),
+    "chain": (("x", "y"), ("y", "z")),
+    "cycle": (("x", "y"), ("y", "z"), ("z", "!x")),
+    "conjunctive": (("x & y", "z"), ("x", "!y")),
+    "disjunctive": (("x | y", "z"), ("z", "x")),
+    "inconsistent": (("x", "y"), ("x", "!y"), ("z", "x")),
+}
+
+
+def template_bases(per_shape=8, seed=2013):
+    """Each template shape under `per_shape` distinct seeded assignments
+    of the roles to the atoms a, b, c with seeded polarity flips, then
+    under two more over labelled spaces of 7 and of 8 valuations in
+    seeded order. Rules a labelled space makes vacuous are left out."""
+    rng = random.Random(seed)
+    atoms = ["a", "b", "c"]
+    variants = list(product(permutations(atoms), product((False, True),
+                                                         repeat=3)))
+    bases = []
+    for shape in TEMPLATE_SHAPES.values():
+        for k, (order, flips) in enumerate(rng.sample(variants,
+                                                      per_shape + 2)):
+            role = dict(zip("xyz", order))
+            flip = dict(zip(atoms, flips))
+
+            def side(text):
+                for op in (" & ", " | "):
+                    if op in text:
+                        return op.join(side(part) for part in text.split(op))
+                atom = role[text.lstrip("!")]
+                return ("!" if text.startswith("!") != flip[atom] else "") + atom
+
+            if k < per_shape:
+                universe = AtomUniverse(atoms)
+            else:
+                picked = rng.sample(range(8), 7 + k - per_shape)
+                labels = {f"w{i}": [a for j, a in enumerate(atoms) if v >> j & 1]
+                          for i, v in enumerate(picked)}
+                universe = LabelledSpace(list(labels), atoms, labels)
+            conds = []
+            for ante, cons in shape:
+                try:
+                    conds.append(conditional_from_formulas(
+                        universe, side(ante), side(cons)))
+                except (EmptyAntecedent, ReflexiveAssertion):
+                    pass
+            bases.append(make_base(universe.space, conds))
+    return bases
+
+
 def _steps(chain):
     return [(pair, (prov.rule, prov.premises)) for pair, prov in chain]
 
 
 def test_close_p_matches_whole_snapshot_reference():
     outcomes = {"consistent": 0, "given": 0, "derived": 0}
-    for base in seeded_bases(240):
+    for base in seeded_bases(240) + template_bases():
         closed = close_p(base)
         provenance, bad = reference_close_p(base.pairs)
         assert closed.pairs == tuple(sorted(provenance))
@@ -221,6 +303,50 @@ def test_roundtrip_matches_all_pairs_reference(s3):
         verdicts = roundtrip_check(ConfidenceRelation(s3, rows))
         expected = reference_roundtrip_relation(rows)
         assert {k: _masks(v.witness) for k, v in verdicts.items()} == expected
+
+
+def _necessity_rows(ranks):
+    """Weak rows of the necessity order of a possibility distribution
+    given by integer ranks per state: a >= b when the most plausible
+    state outside a is at most as plausible as the one outside b."""
+    size = 1 << len(ranks)
+    outside = [max((r for s, r in enumerate(ranks) if not a >> s & 1),
+                   default=-1) for a in range(size)]
+    return [sum(1 << b for b in range(size) if outside[a] <= outside[b])
+            for a in range(size)]
+
+
+def test_roundtrip_relation_or_witness_matches_reference():
+    """OR joins p only with the later q that fit it; the first witness
+    stays the one a scan of all (p, q) finds. Necessity orders pass every
+    check; giving up one or two of their strict pairs (a, b) with a of two
+    states or more makes OR fail deep in the scan, random rows make it
+    fail early."""
+    rng = random.Random(17)
+    failing = deep = 0
+    for n in (2, 3, 4):
+        space = make_space([f"s{i}" for i in range(n)])
+        size = 1 << n
+        for k in range(40):
+            if k % 3 == 0:
+                rows = [rng.randint(0, (1 << size) - 1) | 1 << a
+                        for a in range(size)]
+            else:
+                rows = _necessity_rows([rng.randint(0, 3) for _ in range(n)])
+                joins = sorted((a, b) for a, b in strict_disjoint_pairs(
+                    ConfidenceRelation(space, tuple(rows)))
+                    if a.bit_count() > 1)
+                for a, b in rng.sample(joins, min(k % 3, len(joins))):
+                    rows[b] |= 1 << a
+            rel = ConfidenceRelation(space, tuple(rows))
+            verdict = roundtrip_check(rel)["OR"]
+            expected = reference_roundtrip_relation(rel.rows)["OR"]
+            assert _masks(verdict.witness) == expected
+            assert verdict.holds == (expected is None)
+            if expected is not None:
+                failing += 1
+                deep += expected[0] != min(strict_disjoint_pairs(rel))
+    assert failing >= 40 and deep >= 20
 
 
 # -- individual rules --------------------------------------------------------
