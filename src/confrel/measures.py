@@ -466,8 +466,9 @@ def _matches_kernel_satellites(focal) -> bool:
 
 def recognize_ct_plausibility(measure: Measure) -> CtPlausibility:
     """Does the plausibility order stay an acceptance relation in every
-    context, and which argument certifies it. Two structural patterns are
-    tried first; anything else falls back to the exhaustive check."""
+    context, and which argument certifies it. The exhaustive check
+    always decides; when it holds, two structural patterns name the
+    argument (via), and anything else is certified by the check itself."""
     _, pl = _int_table(measure, "plausibility")
     focal = dict(_int_weights(measure)[1])
     holds = brute_force_ct(pl)

@@ -199,14 +199,14 @@ def _partners(name: str, p: Pair, by_context) -> Sequence[Pair]:
     return bucket
 
 
-def _keyed_joins(name, rule, known, ordered, by_context, new=None,
-                 new_by_context=None) -> Iterator[tuple[Pair, Pair, Pair]]:
+def _keyed_joins(name, rule, known, ordered, by_context, new,
+                 new_by_context) -> Iterator[tuple[Pair, Pair, Pair]]:
     """(p, q, conclusion) of CAND, CM or CUT with a conclusion not in
     `known` at the time it is found: p over `ordered`, q over its
-    `_partners`. With `new`, only the (p, q) with p or q in `new`, whose
-    own index is `new_by_context`."""
+    `_partners`, and p or q in `new`, whose own index is
+    `new_by_context`."""
     for p in ordered:
-        index = by_context if new is None or p in new else new_by_context
+        index = by_context if p in new else new_by_context
         for q in _partners(name, p, index):
             conclusion = rule(p, q)
             if conclusion is not None and conclusion not in known:
@@ -214,11 +214,11 @@ def _keyed_joins(name, rule, known, ordered, by_context, new=None,
 
 
 def _or_joins(known, ordered, n: int,
-              new=None) -> Iterator[tuple[Pair, Pair, Pair]]:
+              new) -> Iterator[tuple[Pair, Pair, Pair]]:
     """(p, q, rule_or(p, q)) with a conclusion not in `known` at the time
     it is found: p over `ordered`, q after p in `ordered`, compatible with
-    p and not containing p half by half. With `new`, only the (p, q) with
-    p or q in `new`. Every mask must lie in n states.
+    p and not containing p half by half, and p or q in `new`. Every mask
+    must lie in n states.
 
     OR is symmetric and so is the set of (p, q) a scan visits, so the
     first (p, q) in p-major, q-ascending order to give a conclusion has q
@@ -238,7 +238,7 @@ def _or_joins(known, ordered, n: int,
         bit = 1 << i
         by_sup[e] = by_sup.get(e, 0) | bit
         by_vio[f] = by_vio.get(f, 0) | bit
-        if new is None or (e, f) in new:
+        if (e, f) in new:
             fresh |= bit
     sup = _by_state(by_sup, n)
     vio = _by_state(by_vio, n)
@@ -396,12 +396,14 @@ def _first(name: str, witnesses) -> Verdict:
 def _unclosed(space, members, ordered, name, rule) -> Iterator[tuple]:
     """Witnesses (p, q, conclusion) of binary rule `name` over `ordered`
     whose conclusion is not in `members`. The first is the one a scan of
-    all (p, q), p-major and q ascending, finds first."""
+    all (p, q), p-major and q ascending, finds first: with every pair
+    new, the joins visit each (p, q) that scan visits."""
     if name == "OR":
-        joins = _or_joins(members, ordered, space.n)
+        joins = _or_joins(members, ordered, space.n, members)
     else:
-        joins = _keyed_joins(name, rule, members, ordered,
-                             _context_index(ordered))
+        index = _context_index(ordered)
+        joins = _keyed_joins(name, rule, members, ordered, index, members,
+                             index)
     for p, q, conclusion in joins:
         yield _pair_events(space, p, q, conclusion)
 

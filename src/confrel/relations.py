@@ -11,8 +11,8 @@ space's inclusion table is built once per n (StateSpace.inclusion).
 Checkers test a row of events a step:
 
 - T groups events by identical row (_t_gap); MI is one mask test per
-  row; O and Ac scan with all b2 or c at once (_o_gap, _ac_steps, shared
-  with lift_strict, measures and representation.ac_close).
+  row; O and Ac scan with all b2 or c at once (_o_gap and _ac_gap, both
+  shared with lift_strict, _ac_gap also with measures).
 - ADD, TYPE_OR, TYPE_AND: adding a's states one at a time turns (b, c)
   into (a|b, a|c) by one-state steps, so the first failing a is a single
   state x, and one shifted row per b holds every c (_additivity_gap).
@@ -312,12 +312,11 @@ def _o_gap(strict, inclusion) -> Optional[tuple[int, int, int, int]]:
     return None
 
 
-def _ac_steps(strict, above, inclusion) -> Iterator[tuple[int, int, int]]:
-    """Each disjoint (a, b) with the mask of every c disjoint from both
-    such that a|b > c and a|c > b but not a > b|c, when that mask is not
-    empty: bit c of above[b] >> a is a|c > b, and bit c of strict[a] >> b
-    is a > b|c. The rows are read as the scan reaches them, so a caller
-    may grow strict and above between steps."""
+def _ac_gap(strict, above, inclusion) -> Optional[tuple[int, int, int]]:
+    """First disjoint (a, b, c) with a|b > c and a|c > b but not a > b|c:
+    for each disjoint (a, b), the mask of every such c disjoint from both
+    is taken at once, and its lowest c is the witness. Bit c of
+    above[b] >> a is a|c > b, and bit c of strict[a] >> b is a > b|c."""
     full = len(strict) - 1
     for a in range(len(strict)):
         free = full & ~a
@@ -325,14 +324,7 @@ def _ac_steps(strict, above, inclusion) -> Iterator[tuple[int, int, int]]:
             cs = (strict[a | b] & inclusion[free & ~b] & above[b] >> a
                   & ~(strict[a] >> b))
             if cs:
-                yield a, b, cs
-
-
-def _ac_gap(strict, above, inclusion) -> Optional[tuple[int, int, int]]:
-    """First disjoint (a, b, c) with a|b > c and a|c > b but not a > b|c:
-    the lowest c of the first step of _ac_steps."""
-    for a, b, cs in _ac_steps(strict, above, inclusion):
-        return a, b, (cs & -cs).bit_length() - 1
+                return a, b, (cs & -cs).bit_length() - 1
     return None
 
 

@@ -4,13 +4,15 @@ A constrained relation carries the usual weak matrix plus a matrix of
 forbidden weak edges; forbidding the reverse edge of a weak one is what
 makes a strict preference a durable commitment that closure steps can
 build on. One closure engine, _close, works on a state that is closed
-except for a list of seed commitments. It draws only what each new
+except for a list of seed commitments, and whose only forbidden edges
+are the reverses of its committed pairs. It draws only what each new
 strict pair adds: one transitive step on the weak rows, the pair's
 orientation (O) rectangle, and a rescan of the acceptance axiom on just
 the strict rows that grew, whose commits seed the next round. One scan
 for an edge both weak and forbidden ends it; such an edge yields a
-Contradiction value carrying that pair. ac_close seeds the engine with
-every committed pair of its input.
+Contradiction value carrying that pair. ac_close runs the engine in
+passes, each seeded with the weak edges whose reverse its input forbids
+and that are not committed yet, until a pass finds none.
 
 Decomposition needs no closure to start: an acceptance preorder is
 already closed, its strict part committed (T and MI give O, and Ac
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .core import DECOMPOSE_MAX, Event, StateSpace, submasks
-from .errors import NotAcceptance, SharedEquivalenceViolated, TooLarge
+from .errors import (NotAcceptance, SharedEquivalenceViolated, SpaceMismatch,
+                     TooLarge)
 from .relations import (ConfidenceRelation, _first_incomparable,
                         _strict_parts, _transitive_close, _transpose,
                         is_acceptance_preorder)
@@ -84,7 +87,7 @@ def _bits_of(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def _close(state, seeds, inclusion, forbidden=None) -> Optional[tuple[int, int]]:
+def _close(state, seeds, inclusion) -> Optional[tuple[int, int]]:
     """Close a state that is closed except for the seed strict pairs, in
     place; return the first edge (a, b) in bitmask order that is both
     weak and forbidden at the fixpoint, or None.
@@ -92,9 +95,7 @@ def _close(state, seeds, inclusion, forbidden=None) -> Optional[tuple[int, int]]
     state is (rows, cols, strict, above): weak rows holding monotony and
     closed under transitivity, and their transpose; the committed pairs
     by row (bit b of strict[a]: a > b) and by column (bit a of above[b]),
-    each forbidden in reverse. forbidden, when given, holds forbidden
-    edges beyond those; such an edge's reverse pair turns committed once
-    it goes weak.
+    each forbidden in reverse, and no other edge forbidden.
 
     Each new pair x > y goes weak with one transitive step (every row
     holding x gains rows[y]) and is committed with its O rectangle,
@@ -108,22 +109,13 @@ def _close(state, seeds, inclusion, forbidden=None) -> Optional[tuple[int, int]]
     """
     rows, cols, strict, above = state
     full = len(rows) - 1
-    # bit s of loose[r]: s >= r forbidden while r >= s is not yet weak
-    loose = (None if forbidden is None else
-             [c & ~r for r, c in zip(rows, _transpose(forbidden))])
-    seeds = list(seeds)
     while seeds:
         grown = {}
-        # a loose edge gone weak appends its pair to the list being read
         for x, y in seeds:
             if not rows[x] >> y & 1:
                 reach, add = cols[x], rows[y]
                 for r in _bits_of(reach):
-                    new = add & ~rows[r]
-                    if new:
-                        rows[r] |= new
-                        if loose and new & loose[r]:
-                            seeds.extend((r, s) for s in _bits_of(new & loose[r]))
+                    rows[r] |= add
                 for s in _bits_of(add):
                     cols[s] |= reach
             if strict[x] >> y & 1:
@@ -147,8 +139,13 @@ def _close(state, seeds, inclusion, forbidden=None) -> Optional[tuple[int, int]]
                     # a > b|c
                     cs = new & above[b] >> a & ~(strict[a] >> b)
                     seeds.extend((a, b | c) for c in _bits_of(cs))
+    return _first_clash(rows, above)
+
+
+def _first_clash(rows, forbidden) -> Optional[tuple[int, int]]:
+    """The first edge (a, b) in bitmask order that is weak and forbidden."""
     for a, row in enumerate(rows):
-        bad = row & (above[a] if forbidden is None else above[a] | forbidden[a])
+        bad = row & forbidden[a]
         if bad:
             return a, (bad & -bad).bit_length() - 1
     return None
@@ -159,36 +156,43 @@ def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradictio
     strict pairs, and the acceptance axiom; fixpoint or Contradiction.
 
     A committed pair is a weak edge x >= y whose reverse is forbidden.
-    The inclusion edges (monotony) go in with one transitive closure;
-    then every committed pair seeds _close, from a state with no strict
-    pairs yet, and the engine's worklist runs to the least state closed
-    under all four rules. A forbidden edge whose reverse is not yet weak
-    stays as it is until that reverse goes weak. The Contradiction
-    carries the first edge in bitmask order that is both weak and
-    forbidden in that least state.
+    The inclusion edges (monotony) go in with one transitive closure.
+    Then each pass seeds _close with the committed pairs it has not yet
+    committed, from a state with no strict pairs at first: a forbidden
+    edge whose reverse is not weak yet waits for a later pass, and the
+    passes end when one finds no such pair. That is the least state
+    closed under all four rules. The Contradiction carries the first
+    edge in bitmask order that is both weak and forbidden in it.
     """
     space = cr.space
     inclusion = space.inclusion
     rows = [r | i for r, i in zip(cr.rows, inclusion)]
     _transitive_close(rows)
-    # bit y of committed[x]: x > y; a pair comes before the pairs its O
-    # rectangle covers, which have a larger x or a smaller y
-    committed = [r & c for r, c in zip(rows, _transpose(cr.forbidden))]
-    seeds = [(x, y) for x, row in enumerate(committed)
-             for y in sorted(_bits_of(row), reverse=True)]
-    above = [0] * space.size
-    clash = _close((rows, _transpose(rows), [0] * space.size, above), seeds,
-                   inclusion, cr.forbidden)
+    strict, above = [0] * space.size, [0] * space.size
+    state = (rows, _transpose(rows), strict, above)
+    # bit x of reverse[y]: x >= y has its reverse forbidden
+    reverse = _transpose(cr.forbidden)
+    while True:
+        # a pair comes before the pairs its O rectangle covers, which
+        # have a larger x or a smaller y
+        seeds = [(x, y) for x, (row, rev, done)
+                 in enumerate(zip(rows, reverse, strict))
+                 for y in sorted(_bits_of(row & rev & ~done), reverse=True)]
+        if not seeds:
+            break
+        _close(state, seeds, inclusion)
+    forbidden = tuple(f | a for f, a in zip(cr.forbidden, above))
+    clash = _first_clash(rows, forbidden)
     if clash is not None:
         return Contradiction((Event(space, clash[0]), Event(space, clash[1])))
-    return ConstrainedRelation(
-        space, tuple(rows),
-        tuple(f | c for f, c in zip(cr.forbidden, above)))
+    return ConstrainedRelation(space, tuple(rows), forbidden)
 
 
 def commit_strict(cr: ConstrainedRelation, a: Event, b: Event
                   ) -> Union[ConstrainedRelation, Contradiction]:
     """One strict commitment followed by a full closure."""
+    if a.space != cr.space or b.space != cr.space:
+        raise SpaceMismatch("event from another state space than the relation")
     rows, forbidden = list(cr.rows), list(cr.forbidden)
     pair = _commit(rows, forbidden, a.bits, b.bits)
     if pair is not None:
@@ -200,6 +204,10 @@ def commit_strict(cr: ConstrainedRelation, a: Event, b: Event
 class Family:
     space: StateSpace
     members: tuple[ConfidenceRelation, ...]
+
+    def __post_init__(self):
+        if any(member.space != self.space for member in self.members):
+            raise SpaceMismatch("family member from another state space")
 
 
 def _equivalences(rel: ConfidenceRelation) -> tuple[int, ...]:

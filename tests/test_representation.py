@@ -11,6 +11,7 @@ from confrel import (
     Family,
     NotAcceptance,
     SharedEquivalenceViolated,
+    SpaceMismatch,
     StrictAxiomViolation,
     TooLarge,
     ac_close,
@@ -113,6 +114,16 @@ def test_opposite_commitments_contradict(s2):
     assert twice.pair == (a, b)
 
 
+def test_commit_strict_refuses_events_of_another_space(s2):
+    # the events' masks would fit the relation; their space does not
+    cr = constrain(inclusion_relation(s2))
+    xy = make_space(["x", "y"])
+    for a, b in ((xy.singleton("x"), xy.empty()),
+                 (s2.singleton("s1"), xy.empty())):
+        with pytest.raises(SpaceMismatch):
+            commit_strict(cr, a, b)
+
+
 def test_weak_and_forbidden_edges_exclude_each_other(s2):
     with pytest.raises(ValueError):
         ConstrainedRelation(s2, (1, 3, 5, 15), (1, 0, 0, 0))
@@ -130,10 +141,10 @@ def test_decompose_starts_from_the_relation_as_it_is(monkeypatch):
         rel = lift_strict(space, close_strict_pairs(space, [seed]))
         first = []
 
-        def record(state, seeds, inclusion, forbidden=None):
+        def record(state, seeds, inclusion):
             if not first:
                 first.append(tuple(tuple(part) for part in state))
-            return real(state, seeds, inclusion, forbidden)
+            return real(state, seeds, inclusion)
 
         monkeypatch.setattr(representation, "_close", record)
         decompose(rel)
@@ -232,6 +243,12 @@ def test_recompose_witness_is_first_differing_equivalence(s3):
     assert err.value.members == (0, 2)
 
 
+def test_family_refuses_a_member_of_another_space(s3):
+    xyz = make_space(["x", "y", "z"])
+    with pytest.raises(SpaceMismatch):
+        Family(s3, (inclusion_relation(s3), inclusion_relation(xyz)))
+
+
 def test_recompose_rejects_empty_family(s2):
     with pytest.raises(ValueError):
         recompose(Family(s2, ()))
@@ -248,12 +265,10 @@ def recorded_closures(monkeypatch, run):
     calls = []
     real = representation._close
 
-    def record(state, seeds, inclusion, forbidden=None):
+    def record(state, seeds, inclusion):
         rows, cols, strict, above = state
         assert cols == _transpose(rows) and strict == _transpose(above)
         rows, forbidden_in = list(rows), list(above)
-        if forbidden is not None:
-            forbidden_in = [f | a for f, a in zip(forbidden, above)]
         clash = None
         for x, y in seeds:
             # forbid y >= x, then require x >= y
@@ -262,15 +277,13 @@ def recorded_closures(monkeypatch, run):
                 break
             forbidden_in[y] |= 1 << x
             rows[x] |= 1 << y
-        result = real(state, seeds, inclusion, forbidden)
+        result = real(state, seeds, inclusion)
         rows_out, cols_out, strict_out, above_out = state
         assert cols_out == _transpose(rows_out)
         assert strict_out == _transpose(above_out)
         closed = None
         if result is None:
-            forbidden_out = (above_out if forbidden is None else
-                             [f | a for f, a in zip(forbidden, above_out)])
-            closed = (tuple(rows_out), tuple(forbidden_out))
+            closed = (tuple(rows_out), tuple(above_out))
         calls.append(((tuple(rows), tuple(forbidden_in), clash), closed))
         return result
 
@@ -422,24 +435,52 @@ def test_ac_close_matches_reference_on_hand_built_relations():
     assert uncommitted > 20
 
 
-def test_close_commits_a_forbidden_edge_once_its_reverse_goes_weak(s3):
-    # {s2} >= {s1} is weak and {s3} >= {s2} forbidden; committing
-    # {s1} > {s3} makes {s2} >= {s3} weak, so {s2} > {s3} is committed
-    # too, with its own O rectangle
-    inclusion = _inclusion_rows(3)
-    rows = list(inclusion)
+def test_close_commits_a_forbidden_edge_once_its_reverse_goes_weak(monkeypatch):
+    # a forbidden edge whose reverse is not weak waits; once the reverse
+    # goes weak the pair is committed, with its own O rectangle, in the
+    # next pass of _close
+    passes = []
+    real = representation._close
+
+    def record(state, seeds, inclusion):
+        passes.append(list(seeds))
+        return real(state, seeds, inclusion)
+
+    monkeypatch.setattr(representation, "_close", record)
+    # on three states, {s2} >= {s1} is weak, {s1} > {s3} committed and
+    # {s3} >= {s2} forbidden: {s2} >= {s3} is weak by transitivity
+    # before the first pass, which commits {s2} > {s3} with {s1} > {s3},
+    # and so {s2,s3} > {s3}
+    rows3 = list(_inclusion_rows(3))
     for a in (2, 3, 6, 7):
-        rows[a] |= rows[1]
-    forbidden = [0] * 8
-    forbidden[4] = 1 << 2
-    state = (rows, _transpose(rows), [0] * 8, [0] * 8)
-    assert representation._close(state, [(1, 4)], inclusion, forbidden) is None
-    closed = (tuple(rows), tuple(f | a for f, a in zip(forbidden, state[3])))
-    given = (tuple(r | (1 << 4 if a == 1 else 0) for a, r in enumerate(rows)),
-             tuple(f | (1 << 1 if a == 4 else 0)
-                   for a, f in enumerate(forbidden)), None)
-    assert not agrees_with_reference(3, given, closed)
-    assert closed[1][4] >> 6 & 1  # {s2,s3} > {s3}, from {s2} > {s3} alone
+        rows3[a] |= rows3[1]
+    rows3[1] |= 1 << 4
+    forbidden3 = [0] * 8
+    forbidden3[4] = 1 << 1 | 1 << 2
+    # on four states, {s1} > {s4} and {s1,s3,s4} > {s2,s3,s4} are
+    # committed, {s2,s3} >= {s1,s3} is weak and {s2,s4} >= {s2,s3}
+    # forbidden. The first pass commits {s1,s3} > {s2,s4} by Ac, from
+    # {s1,s3,s4} > {s2} and {s1,s2,s3} > {s4}, so {s2,s3} >= {s2,s4}
+    # goes weak, and only a second pass commits it
+    rows4 = list(_inclusion_rows(4))
+    rows4[1] |= 1 << 8
+    rows4[6] |= 1 << 5
+    rows4[13] |= 1 << 14
+    forbidden4 = [0] * 16
+    forbidden4[8] = 1 << 1
+    forbidden4[10] = 1 << 6
+    forbidden4[14] = 1 << 13
+    for n, rows, forbidden, seeded, last in (
+            (3, rows3, forbidden3, [[(1, 4), (2, 4)]], (6, 4)),
+            (4, rows4, forbidden4, [[(1, 8), (13, 14)], [(6, 10)]], (6, 10))):
+        space = make_space([f"s{i}" for i in range(1, n + 1)])
+        cr = ConstrainedRelation(space, tuple(rows), tuple(forbidden))
+        passes.clear()
+        closed = ac_close(cr)
+        assert passes == seeded
+        assert not agrees_with_reference(
+            n, (cr.rows, cr.forbidden, None), (closed.rows, closed.forbidden))
+        assert closed.committed_strict(*last)
 
 
 def test_close_strict_pairs_matches_reference():
