@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import fileio, measures, preferential, relations, representation
-from .core import DECOMPOSE_MAX, Event, StateSpace, make_space
+from .core import DECOMPOSE_MAX, RELATION_MAX, Event, StateSpace, make_space
 from .errors import ConfrelError
 from .logic import LabelledSpace
 
@@ -276,13 +276,10 @@ def _cmd_roundtrip(args):
     return (0 if result["all_hold"] else 1), inputs, result
 
 
-def _gen_space(k: int) -> StateSpace:
-    return make_space([f"s{i}" for i in range(1, k + 1)])
-
-
 def _cmd_gen(args):
     rng = random.Random(args.seed)
-    space = _gen_space(args.n)
+    cap = RELATION_MAX if args.max_states is None else args.max_states
+    space = make_space([f"s{i}" for i in range(1, args.n + 1)], cap)
     if args.type == "lottery":
         artifact = fileio.dump_measure(measures.uniform_probability(space))
         key = "measure"
@@ -309,11 +306,10 @@ def _common_flags(parser: argparse.ArgumentParser, trailing: bool) -> None:
     # suppressed defaults) so the flags work in either position
     kw = {"default": argparse.SUPPRESS} if trailing else {}
     if not trailing:
-        parser.set_defaults(out=None, format="json", seed=DEFAULT_SEED,
-                            max_states=None, timing=False)
+        parser.set_defaults(out=None, format="json", max_states=None,
+                            timing=False)
     parser.add_argument("--out", help="also write the JSON report here", **kw)
     parser.add_argument("--format", choices=("json", "text"), **kw)
-    parser.add_argument("--seed", type=int, **kw)
     parser.add_argument("--max-states", type=int, dest="max_states",
                         help="override the built-in state count guards", **kw)
     parser.add_argument("--timing", action="store_true",
@@ -389,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("lottery", "bigstep", "random-relation",
                             "random-mass"))
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"seed of the random types (default {DEFAULT_SEED})")
     p.set_defaults(handler=_cmd_gen)
 
     return parser

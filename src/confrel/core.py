@@ -25,6 +25,8 @@ DECOMPOSE_MAX = 5
 @dataclass(frozen=True)
 class StateSpace:
     states: tuple[str, ...]
+    # the atoms the states are valuations of; spaces over other atoms differ
+    atoms: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.states:
@@ -225,25 +227,11 @@ def disjoint_pairs(space: StateSpace) -> Iterator[tuple[Event, Event]]:
 
 def _triple_masks(full: int) -> Iterator[tuple[int, int, int]]:
     """All ordered pairwise-disjoint mask triples (a, b, c) under full, a
-    ascending, then b and c ascending among the submasks left free.
-
-    The submask steps are written out rather than nested submasks()
-    generators, so each triple costs one generator resume.
-    """
+    ascending, then b and c ascending among the submasks left free."""
     for a in range(full + 1):
-        free_a = full & ~a
-        b = 0
-        while True:
-            free = free_a & ~b
-            c = 0
-            while True:
+        for b in submasks(full & ~a):
+            for c in submasks(full & ~a & ~b):
                 yield a, b, c
-                c = (c - free) & free
-                if c == 0:
-                    break
-            b = (b - free_a) & free_a
-            if b == 0:
-                break
 
 
 def disjoint_triples(space: StateSpace) -> Iterator[tuple[Event, Event, Event]]:

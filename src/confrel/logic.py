@@ -263,7 +263,7 @@ class AtomUniverse:
         names = []
         for v in range(1 << m):
             names.append("".join("1" if v >> i & 1 else "0" for i in range(m)))
-        self.space = StateSpace(tuple(names))
+        self.space = StateSpace(tuple(names), self.atoms)
 
     def parse(self, text: str) -> Formula:
         return parse(text, self.atoms)

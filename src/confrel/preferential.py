@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .core import Event, StateSpace, submasks
 from .errors import EmptyAntecedent, ReflexiveAssertion, SpaceMismatch
@@ -184,30 +184,24 @@ def _context_index(ordered) -> dict[int, list[Pair]]:
     return index
 
 
-def _partners(name: str, p: Pair, by_context) -> Sequence[Pair]:
-    """The pairs q, in the order of the index, that binary rule `name` can
-    join with p: CAND and CM need q in p's context, CUT needs q's context
-    to be p's supporting side. CAND is symmetric, so it takes only the q
-    after p in its bucket (see `_or_joins`). `by_context` is a
-    `_context_index` of a sorted list.
-    """
-    if name == "CUT":
-        return by_context.get(p[0], ())
-    bucket = by_context.get(p[0] | p[1], ())
-    if name == "CAND":
-        return bucket[bisect_right(bucket, p):]
-    return bucket
-
-
 def _keyed_joins(name, rule, known, ordered, by_context, new,
                  new_by_context) -> Iterator[tuple[Pair, Pair, Pair]]:
     """(p, q, conclusion) of CAND, CM or CUT with a conclusion not in
-    `known` at the time it is found: p over `ordered`, q over its
-    `_partners`, and p or q in `new`, whose own index is
-    `new_by_context`."""
+    `known` at the time it is found: p over `ordered`, and p or q in
+    `new`, whose own index is `new_by_context`. Both indexes are
+    `_context_index`es of sorted lists, and q runs in their order: CAND
+    and CM join q in p's context, CUT the q whose context is p's
+    supporting side. CAND is symmetric, so it takes only the q after p in
+    its bucket (see `_or_joins`)."""
     for p in ordered:
         index = by_context if p in new else new_by_context
-        for q in _partners(name, p, index):
+        if name == "CUT":
+            partners = index.get(p[0], ())
+        else:
+            partners = index.get(p[0] | p[1], ())
+            if name == "CAND":
+                partners = partners[bisect_right(partners, p):]
+        for q in partners:
             conclusion = rule(p, q)
             if conclusion is not None and conclusion not in known:
                 yield p, q, conclusion
@@ -301,10 +295,10 @@ def close_p(base: ConditionalBase) -> ConditionalBase:
     leaves each round's new pairs, their order and their recorded
     premises as a whole-snapshot round would give them. CAND, CM and CUT
     read a by-context index of the snapshot and of the new pairs (see
-    `_partners`). OR and CAND are symmetric, so they join p only with the
-    q after it, and OR reads per-state bitsets that drop the q which clash
-    with p or contain it (see `_or_joins`): neither skip changes the first
-    producer of a new pair.
+    `_keyed_joins`). OR and CAND are symmetric, so they join p only with
+    the q after it, and OR reads per-state bitsets that drop the q which
+    clash with p or contain it (see `_or_joins`): neither skip changes the
+    first producer of a new pair.
 
     The joins read only the snapshot, so a round's new pairs enter the
     table as they are found and the joins pass over a conclusion already

@@ -127,7 +127,8 @@ class ConfidenceRelation:
 
     def dual(self) -> "ConfidenceRelation":
         """A >= B in the dual iff comp(B) >= comp(A)."""
-        return ConfidenceRelation(self.space, tuple(_dual_rows(self.rows)))
+        return ConfidenceRelation(self.space,
+                                  tuple(_delta_swap(self.rows, True)))
 
     def condition(self, c: Event) -> "ConfidenceRelation":
         """A >= B given c iff A&c >= B&c. Row a is the carry-free product
@@ -182,12 +183,6 @@ def _delta_swap(rows, anti: bool) -> list[int]:
 def _transpose(rows) -> list[int]:
     """The bit matrix with bit a of row b set iff bit b of rows[a] is."""
     return _delta_swap(rows, False)
-
-
-def _dual_rows(rows) -> list[int]:
-    """Rows of the dual: bit b of row a set iff bit comp(a) of
-    rows[comp(b)] is."""
-    return _delta_swap(rows, True)
 
 
 def _strict_parts(rows, cols) -> tuple[list[int], list[int]]:

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from confrel import (
 )
 from confrel.cli import main
 from conftest import inclusion_relation
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -279,6 +283,12 @@ def test_gen_is_seed_deterministic(capsys, tmp_path):
     assert out1 != out3
     report = json.loads(out1)
     assert report["inputs"]["seed"] == 20240
+    # --seed is a gen option only, before or after another subcommand
+    for argv in (["check-axioms", "r.json", "--seed", "3"],
+                 ["--seed", "3", "gen", "--type", "lottery", "--n", "2"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2, argv
 
 
 def test_gen_writes_loadable_artifacts(capsys, tmp_path):
@@ -293,6 +303,12 @@ def test_gen_writes_loadable_artifacts(capsys, tmp_path):
                      "--n", "3")
     assert code == 0
     assert load_relation(rel_path).space.n == 3
+    code, out, err = run(capsys, "gen", "--type", "lottery", "--n", "13")
+    assert (code, out) == (2, "") and "cap of 12" in err
+    code, _, _ = run(capsys, "gen", measure_path, "--type", "lottery",
+                     "--n", "13", "--max-states", "13")
+    assert code == 0
+    assert len(load_measure(measure_path, max_states=13).weights) == 13
 
 
 def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
@@ -361,3 +377,20 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
         code, out, err = run(capsys, command, shape)
         assert (code, out) == (2, ""), doc
         assert err.startswith("error:") and field in err, err
+
+
+def test_readme_library_example_runs_as_written():
+    text = README.read_text(encoding="utf-8")
+    source = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = source.splitlines()
+    scope, checked = {}, 0
+    for node in ast.parse(source).body:
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        if comment in ("True", "False"):
+            expected = comment == "True"
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            assert eval(code, scope) is expected, ast.unparse(node)
+            checked += 1
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+    assert checked == 5

@@ -12,6 +12,7 @@ from confrel import (
     make_space,
     submasks,
 )
+from confrel.core import _triple_masks
 
 
 def test_make_space_rejects_bad_input():
@@ -75,6 +76,16 @@ def test_enumerators(s3):
         for a, b, c in triples
     )
     assert len(triples) == 4 ** 3
+    # the negligibility witnesses are the first failing triple in this order
+    for n in range(5):
+        size = 1 << n
+        brute = sorted((a, b, c) for a in range(size) for b in range(size)
+                       for c in range(size) if not (a & b or a & c or b & c))
+        assert list(_triple_masks(size - 1)) == brute
+        if n:
+            space = make_space([f"s{i}" for i in range(n)])
+            assert [(a.bits, b.bits, c.bits)
+                    for a, b, c in disjoint_triples(space)] == brute
 
 
 def test_event_from_bits_bounds(s2):

@@ -106,6 +106,14 @@ def test_make_base_and_entails_refuse_other_spaces():
         entails(close_p(base), foreign)
     # raw pairs over the full range, and the empty supporting side, pass
     assert make_base(u.space, [(255, 0), (0, 1)]).pairs == ((0, 1), (255, 0))
+    # valuation spaces over other atoms of the same count differ too
+    bf, pq = AtomUniverse(["b", "f"]), AtomUniverse(["p", "q"])
+    assert bf.space.states == pq.space.states and bf.space != pq.space
+    assert bf.space == AtomUniverse(["b", "f"]).space
+    base = make_base(bf.space, [conditional_from_formulas(bf, "b", "f")])
+    with pytest.raises(SpaceMismatch):
+        entails(base, conditional_from_formulas(pq, "p", "q"))
+    assert entails(base, conditional_from_formulas(bf, "b", "f"))
 
 
 def test_derivations_replay():

@@ -37,7 +37,7 @@ from confrel import (
     strict_order_from_chain,
 )
 from confrel import core, relations
-from confrel.relations import _dual_rows, _first_incomparable, _transpose
+from confrel.relations import _delta_swap, _first_incomparable, _transpose
 from conftest import inclusion_relation
 from oracles import (
     naive_ac,
@@ -422,11 +422,11 @@ def test_transpose_kernels_match_per_bit_loops():
     rng = random.Random(12)
     for n in (*range(7), 8):
         for rows in _kernel_matrices(rng, n):
-            cols, dual = _transpose(rows), _dual_rows(rows)
+            cols, dual = _transpose(rows), _delta_swap(rows, True)
             assert tuple(cols) == reference_transpose(rows), (n, rows)
             assert tuple(dual) == reference_dual(rows), (n, rows)
             assert tuple(_transpose(cols)) == rows, (n, rows)
-            assert tuple(_dual_rows(dual)) == rows, (n, rows)
+            assert tuple(_delta_swap(dual, True)) == rows, (n, rows)
             if n:
                 space = make_space([f"s{i}" for i in range(n)])
                 rel = ConfidenceRelation(space, rows)
