@@ -27,6 +27,9 @@ class StateSpace:
     states: tuple[str, ...]
     # the atoms the states are valuations of; spaces over other atoms differ
     atoms: tuple[str, ...] = ()
+    # the true atoms of each state, for declared states with per-state
+    # labels; spaces labelled otherwise differ
+    labels: tuple[frozenset[str], ...] = ()
 
     def __post_init__(self):
         if not self.states:

@@ -19,7 +19,7 @@ AtomUniverse or a user-declared space with per-state atom labellings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 from .core import RELATION_MAX, Event, StateSpace, make_space
@@ -290,18 +290,21 @@ class LabelledSpace:
     def __init__(self, states, atoms, labels: dict,
                  max_states: int = RELATION_MAX):
         self.atoms = _check_atoms(atoms)
-        self.space = make_space(states, max_states)
-        stray = set(labels) - set(self.space.states)
+        space = make_space(states, max_states)
+        stray = set(labels) - set(space.states)
         if stray:
             raise ValueError(f"'labels' name undeclared states {sorted(stray)}")
         known = set(self.atoms)
         self.labels = {}
-        for s in self.space.states:
+        for s in space.states:
             true_atoms = frozenset(labels.get(s, ()))
             stray = true_atoms - known
             if stray:
                 raise UnknownAtom(f"state {s!r} labelled with undeclared {sorted(stray)}")
             self.labels[s] = true_atoms
+        # the atoms and labels are part of the space's identity
+        self.space = replace(space, atoms=self.atoms,
+                             labels=tuple(self.labels[s] for s in space.states))
 
     def parse(self, text: str) -> Formula:
         return parse(text, self.atoms)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .core import Event, StateSpace, _bits, _inclusion_table, submasks
 from .errors import KindMismatch, SpaceMismatch, ZeroDenominator
 from .relations import (ConfidenceRelation, _ac_gap, _accepted, _kernel,
-                        _strict_parts, _transpose)
+                        _kernels_accepted, _mi_gap, _strict_parts, _transpose)
 
 PROBABILITY = "probability"
 POSSIBILITY = "possibility"
@@ -303,13 +303,21 @@ def random_mass(space: StateSpace, rng, max_focals: int = 4, max_weight: int = 9
 
 def brute_force_ct(values: Sequence) -> bool:
     """Acceptance axiom checked directly on a value table: no disjoint
-    A, B, C may have A|B above C and A|C above B yet A not above B|C."""
+    A, B, C may have A|B above C and A|C above B yet A not above B|C.
+    The table's order is complete, so T holds; where it is monotone in
+    inclusion (MI) too, the kernel test on the accepted parts of each
+    context decides (relations._kernels_accepted), and a table that
+    fails MI is scanned for a witness triple (relations._ac_gap)."""
     size = len(values)
     n = size.bit_length() - 1
     if 1 << n != size:
         raise ValueError("table length must be a power of two")
     rows = _table_rows(values)
-    return _ac_gap(*_strict_parts(rows, _transpose(rows)), _inclusion_table(n)) is None
+    inclusion = _inclusion_table(n)
+    strict, above = _strict_parts(rows, _transpose(rows))
+    if _mi_gap(rows, inclusion) is None:
+        return _kernels_accepted(strict, inclusion)
+    return _ac_gap(strict, above, inclusion) is None
 
 
 def classify_acceptance_belief(measure: Measure) -> str:
@@ -319,9 +327,10 @@ def classify_acceptance_belief(measure: Measure) -> str:
 
     The shape is read off the kernel of the belief order's accepted
     events. The shapes are necessary but not sufficient on four or more
-    states, so both orders are checked for Ac as well (brute_force_ct);
-    on these monotone tables, Ac says that in every context where
-    something is accepted, the kernel is accepted too.
+    states, so both orders are checked for Ac as well (brute_force_ct).
+    Belief and plausibility tables are monotone, so that check takes the
+    kernel route: Ac holds iff in every context where something is
+    accepted, the kernel is accepted too.
     """
     full = measure.space.full_mask
     _, bel = _int_table(measure, "belief")

@@ -10,9 +10,13 @@ equivalences and completeness all read it (_strict_parts), and the
 space's inclusion table is built once per n (StateSpace.inclusion).
 Checkers test a row of events a step:
 
-- T groups events by identical row (_t_gap); MI is one mask test per
-  row; O and Ac scan with all b2 or c at once (_o_gap and _ac_gap, both
-  shared with lift_strict, _ac_gap also with measures).
+- T groups events by identical row (_t_gap, once per relation as its
+  t_gap); MI is one mask test per row (_mi_gap). O "holds" is decided by
+  n * 2^n row tests (_o_holds), and Ac "holds", once T and MI give O, by
+  the paper's closure theorem: one kernel test per context on its
+  accepted parts (_kernels_accepted). Only where these fail do the scans
+  run, with all b2 or c at once, to find the first witness (_o_gap and
+  _ac_gap). lift_strict shares all four, measures the Ac pair.
 - ADD, TYPE_OR, TYPE_AND: adding a's states one at a time turns (b, c)
   into (a|b, a|c) by one-state steps, so the first failing a is a single
   state x, and one shifted row per b holds every c (_additivity_gap).
@@ -30,7 +34,8 @@ Checkers test a row of events a step:
   spread over every u | x with x outside c by the carry-free product
   with inclusion[comp(c)] (_accepted); condition(c) uses the same
   product. One transpose gives these parts for every context at once
-  (_accepted_by_context, behind CCS, CAND and the conditional kernel).
+  (_accepted_parts; _accepted_by_context spreads them for CCS, CAND and
+  the conditional kernel).
 """
 
 from __future__ import annotations
@@ -113,6 +118,12 @@ class ConfidenceRelation:
     def cols(self) -> tuple[int, ...]:
         """The transpose of rows: bit a of cols[b] iff a >= b."""
         return tuple(_transpose(self.rows))
+
+    @cached_property
+    def t_gap(self) -> Optional[tuple[int, int, int]]:
+        """The first T witness as masks (_t_gap), or None; the T and Ac
+        checkers both read it."""
+        return _t_gap(self.rows)
 
     def is_complete(self) -> bool:
         return _first_incomparable(self.rows, self.cols) is None
@@ -274,10 +285,10 @@ def _t_gap(rows) -> Optional[tuple[int, int, int]]:
     return first
 
 
-def _mi_gap(rel):
+def _mi_gap(rows, inclusion):
     """Row b must hold every subset of b: one mask test per b. The
     witness is the lowest a missing anywhere, with the first b missing it."""
-    gaps = [sub & ~row for row, sub in zip(rel.rows, rel.space.inclusion)]
+    gaps = [sub & ~row for row, sub in zip(rows, inclusion)]
     union = reduce(or_, gaps)
     if not union:
         return None
@@ -285,10 +296,30 @@ def _mi_gap(rel):
     return a, next(b for b, gap in enumerate(gaps) if gap >> a & 1)
 
 
+def _o_holds(strict, inclusion) -> bool:
+    """O on a strict matrix (bit b of strict[a] means a > b), by rows: O
+    holds iff each row is a down-set and strict[a] is inside
+    strict[a | x] for every state x outside a, as any a2 >= a and b2 <= b
+    are reached by one-state steps. Per state, a row is closed under
+    removing it iff no member with the state lacks its part without."""
+    size = len(strict)
+    bit = 1
+    while bit < size:
+        lacking = inclusion[(size - 1) ^ bit]
+        for a, row in enumerate(strict):
+            if row >> bit & lacking & ~row:
+                return False
+            if not a & bit and row & ~strict[a | bit]:
+                return False
+        bit <<= 1
+    return True
+
+
 def _o_gap(strict, inclusion) -> Optional[tuple[int, int, int, int]]:
-    """First (a, a2, b, b2) with a > b, a2 a superset of a and b2 a subset
-    of b, but not a2 > b2; b2 is the lowest bit of inclusion[b] missing
-    from strict[a2]."""
+    """The witness finder for O, and its reference: the first
+    (a, a2, b, b2) with a > b, a2 a superset of a and b2 a subset of b,
+    but not a2 > b2; b2 is the lowest bit of inclusion[b] missing from
+    strict[a2]. Callers run it where _o_holds fails."""
     full = len(strict) - 1
     for a, row in enumerate(strict):
         for sup in submasks(full & ~a):
@@ -308,10 +339,12 @@ def _o_gap(strict, inclusion) -> Optional[tuple[int, int, int, int]]:
 
 
 def _ac_gap(strict, above, inclusion) -> Optional[tuple[int, int, int]]:
-    """First disjoint (a, b, c) with a|b > c and a|c > b but not a > b|c:
-    for each disjoint (a, b), the mask of every such c disjoint from both
-    is taken at once, and its lowest c is the witness. Bit c of
-    above[b] >> a is a|c > b, and bit c of strict[a] >> b is a > b|c."""
+    """The witness finder for Ac, and its reference: the first disjoint
+    (a, b, c) with a|b > c and a|c > b but not a > b|c. For each disjoint
+    (a, b), the mask of every such c disjoint from both is taken at once,
+    and its lowest c is the witness. Bit c of above[b] >> a is a|c > b,
+    and bit c of strict[a] >> b is a > b|c. It costs 3^n shifted rows, so
+    under O callers run it only where _kernels_accepted fails."""
     full = len(strict) - 1
     for a in range(len(strict)):
         free = full & ~a
@@ -354,16 +387,48 @@ def _accepted(rows, c: int, inclusion) -> int:
     return inside * inclusion[(len(rows) - 1) & ~c]
 
 
+def _accepted_parts(strict, inclusion) -> list[int]:
+    """Row c holds each u inside c with u > c ^ u. Bit v of strict[u],
+    for v disjoint from u, is u > v; moved up to bit u | v, one transpose
+    gives every context's row at once."""
+    full = len(strict) - 1
+    return _transpose([(row & inclusion[full & ~u]) << u
+                       for u, row in enumerate(strict)])
+
+
 def _accepted_by_context(rel) -> Iterator[int]:
-    """_accepted of every context in turn. Bit v of strict[u], for v
-    disjoint from u, is u > v; moved up to bit u | v and transposed once,
-    row c holds each u inside c with u > c ^ u."""
+    """_accepted of every context in turn: its accepted parts, times
+    inclusion[comp(c)]."""
     strict, _ = _strict_parts(rel.rows, rel.cols)
     inclusion, full = rel.space.inclusion, rel.space.full_mask
-    inside = _transpose([(row & inclusion[full & ~u]) << u
-                         for u, row in enumerate(strict)])
-    for c, row in enumerate(inside):
+    for c, row in enumerate(_accepted_parts(strict, inclusion)):
         yield row * inclusion[full & ~c]
+
+
+def _kernels_accepted(strict, inclusion) -> bool:
+    """Does every context's row of _accepted_parts hold its kernel, or
+    nothing? Under O (a2 >= a > b >= b2 gives a2 > b2), this holds iff Ac
+    does, which is the paper's theorem that Ac is the accepted beliefs of
+    every context being closed under conjunction.
+
+    Proof. Let u, v be accepted in C, and set a = u & v, b = u - v,
+    c = v - u and d = C - (u | v). Then a|b > c|d, and O turns
+    a|c > b|d into a|c|d > b. Ac on the disjoint (a, b, c|d) gives
+    a > b|c|d: u & v is accepted in C. Conversely, a|b > c and a|c > b
+    say that a|b and a|c are accepted in C = a|b|c (the case d = 0), and
+    their meet a is accepted iff a > b|c. Under O the accepted parts of
+    C are an up-set inside C (u2 >= u > C - u >= C - u2), and an up-set
+    is closed under meets iff it is empty or holds its kernel. A kernel
+    that is a member is the numerically least member, so a row passes
+    iff its lowest member k lies inside every member: the row is within
+    the supersets of k, inclusion[comp(k)] << k."""
+    full = len(strict) - 1
+    for row in _accepted_parts(strict, inclusion):
+        if row:
+            k = (row & -row).bit_length() - 1
+            if row & ~(inclusion[full ^ k] << k):
+                return False
+    return True
 
 
 def _upward_gap(members: int, inclusion, within=None) -> Optional[tuple[int, int]]:
@@ -516,16 +581,32 @@ def _pole_gap(rel, pole: int):
     return ((found & -found).bit_length() - 1,) if found else None
 
 
+def _o_check(strict, inclusion):
+    """O by the row tests; the scan runs only to find the witness."""
+    return None if _o_holds(strict, inclusion) else _o_gap(strict, inclusion)
+
+
+def _ac_check(rel):
+    """Ac by the kernel test where T and MI hold, as they give O; the
+    scan finds the witness where the test fails, and decides alone on a
+    relation without them."""
+    strict, above = _strict_parts(rel.rows, rel.cols)
+    inclusion = rel.space.inclusion
+    if (rel.t_gap is None and _mi_gap(rel.rows, inclusion) is None
+            and _kernels_accepted(strict, inclusion)):
+        return None
+    return _ac_gap(strict, above, inclusion)
+
+
 # each checker gives the first witness, as masks, or None
 _CHECKERS = {
-    "T": lambda rel: _t_gap(rel.rows),
-    "MI": _mi_gap,
-    "O": lambda rel: _o_gap(_strict_parts(rel.rows, rel.cols)[0],
-                            rel.space.inclusion),
+    "T": lambda rel: rel.t_gap,
+    "MI": lambda rel: _mi_gap(rel.rows, rel.space.inclusion),
+    "O": lambda rel: _o_check(_strict_parts(rel.rows, rel.cols)[0],
+                              rel.space.inclusion),
     # a > a would need a >= a and not a >= a: IR holds for every relation
     "IR": lambda rel: None,
-    "Ac": lambda rel: _ac_gap(*_strict_parts(rel.rows, rel.cols),
-                              rel.space.inclusion),
+    "Ac": _ac_check,
     "Qual": _qual_gap,
     "CP": _cp_gap,
     "CS": lambda rel: _full_gap(rel, _upward_gap),
@@ -570,6 +651,8 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
 
     The input is checked as given (irreflexive, transitive, O, the
     acceptance axiom on disjoint triples); no closure is applied first.
+    O is checked on the strict matrix itself, so Ac is decided by the
+    kernel test, and the scans run only to find a witness.
     """
     strict = [0] * space.size  # bit b of strict[a]: a > b
     for a, b in strict_pairs:
@@ -582,10 +665,11 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
     if found:
         raise StrictAxiomViolation("T", _ev(space, *found))
     rows = space.inclusion
-    found = _o_gap(strict, rows)
+    found = _o_check(strict, rows)
     if found:
         raise StrictAxiomViolation("O", _ev(space, *found))
-    found = _ac_gap(strict, _transpose(strict), rows)
+    found = (None if _kernels_accepted(strict, rows)
+             else _ac_gap(strict, _transpose(strict), rows))
     if found:
         raise StrictAxiomViolation("Ac", _ev(space, *found))
 
@@ -766,5 +850,5 @@ def all_acceptance_preorders(space: StateSpace) -> Iterator[ConfidenceRelation]:
         if any(rows[a] & required[a] != required[a] for a in range(n)):
             continue
         rel = ConfidenceRelation(space, rows)
-        if _t_gap(rows) is None and check_axiom(rel, "Ac").holds:
+        if rel.t_gap is None and check_axiom(rel, "Ac").holds:
             yield rel

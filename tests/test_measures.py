@@ -33,6 +33,7 @@ from confrel import (
     table_for,
     uniform_probability,
 )
+from confrel import measures
 from oracles import (naive_bel, naive_pl, naive_poss, naive_sup_rows,
                      reference_brute_force_ct, reference_kernel_in_every_context,
                      reference_sup_rows)
@@ -257,10 +258,19 @@ def test_big_stepped_probability_is_context_tolerant():
         brute_force_ct([0, 1, 2])
 
 
-def test_brute_force_ct_matches_triple_loop():
+def test_brute_force_ct_matches_triple_loop(monkeypatch):
     # on a table monotone in inclusion, as the tables of measures are,
     # Ac is the kernel being accepted in every context where something
-    # is, which classify_acceptance_belief relies on
+    # is, which classify_acceptance_belief relies on; there the kernel
+    # test decides, and only a table that fails MI is scanned
+    scans = []
+    real_gap = measures._ac_gap
+
+    def counted_gap(*args):
+        scans.append(args)
+        return real_gap(*args)
+
+    monkeypatch.setattr(measures, "_ac_gap", counted_gap)
     rng = random.Random(37)
     verdicts = Counter()
     monotone = Counter()
@@ -273,13 +283,20 @@ def test_brute_force_ct_matches_triple_loop():
                       for a in range(size)]
         if i % 4 == 1:
             values = [F(v, 3) for v in values]
+        scans.clear()
         holds = brute_force_ct(values)
         assert holds == reference_brute_force_ct(values), values
         verdicts[holds] += 1
+        mi = all(values[a] >= values[b] for a in range(size)
+                 for b in range(size) if b & ~a == 0)
+        assert len(scans) == (not mi), values
+        if not mi:
+            verdicts["scanned", holds] += 1
         if i % 3 == 0:
             assert holds == reference_kernel_in_every_context(values), values
             monotone[holds] += 1
     assert min(verdicts[True], verdicts[False]) >= 1000, verdicts
+    assert min(verdicts["scanned", True], verdicts["scanned", False]) >= 300, verdicts
     assert min(monotone[True], monotone[False]) >= 300, monotone
 
 

@@ -114,6 +114,16 @@ def test_make_base_and_entails_refuse_other_spaces():
     with pytest.raises(SpaceMismatch):
         entails(base, conditional_from_formulas(pq, "p", "q"))
     assert entails(base, conditional_from_formulas(bf, "b", "f"))
+    # and so do declared states with the same names but other labels
+    a = LabelledSpace(["w1", "w2"], ["p", "q"], {"w1": ["p", "q"], "w2": ["p"]})
+    b = LabelledSpace(["w1", "w2"], ["p", "q"], {"w1": ["p"], "w2": ["p", "q"]})
+    assert a.space.states == b.space.states and a.space != b.space
+    assert a.space == LabelledSpace(["w1", "w2"], ["p", "q"],
+                                    {"w2": ["p"], "w1": ["q", "p"]}).space
+    closed = close_p(make_base(a.space, [conditional_from_formulas(a, "p", "q")]))
+    with pytest.raises(SpaceMismatch):
+        entails(closed, conditional_from_formulas(b, "p", "!q"))
+    assert entails(closed, conditional_from_formulas(a, "p", "q"))
 
 
 def test_derivations_replay():

@@ -3,6 +3,7 @@ import re
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
+from itertools import product
 from operator import or_
 from pathlib import Path
 
@@ -337,7 +338,15 @@ def _lift_outcome(space, pairs):
         return None, (err.axiom, tuple(e.bits for e in err.witness))
 
 
-def test_lift_strict_matches_set_of_pairs_reference():
+def test_lift_strict_matches_set_of_pairs_reference(monkeypatch):
+    # the O and Ac scans run only to find a witness: once on an input
+    # that fails O, once on one that fails Ac, and never on one that lifts
+    scans = Counter()
+    for name in ("_o_gap", "_ac_gap"):
+        def counted(*args, _real=getattr(relations, name), _name=name):
+            scans[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(relations, name, counted)
     rng = random.Random(31)
     outcomes = Counter()
     for trial in range(1500):
@@ -356,9 +365,13 @@ def test_lift_strict_matches_set_of_pairs_reference():
             drawn = [(rng.randrange(size), rng.randrange(size))
                      for _ in range(rng.randint(0, 2 * size))]
             pairs = {(a, b) for a, b in drawn if a != b or rng.random() < 0.05}
+        scans.clear()
         got = _lift_outcome(sp, pairs)
         assert got == reference_lift_strict(pairs, n), (n, sorted(pairs))
-        outcomes[got[1][0] if got[1] else "lifted"] += 1
+        failed = got[1][0] if got[1] else None
+        assert (scans["_o_gap"], scans["_ac_gap"]) == (
+            failed == "O", failed == "Ac"), (n, sorted(pairs))
+        outcomes[failed or "lifted"] += 1
         if trial % 2 and got[1] and got[1][0] == "Ac":
             # the witness check_axiom gives on the grown weak relation
             grown = ConfidenceRelation.from_weak_pairs(
@@ -549,6 +562,75 @@ def test_strict_part_checkers_match_per_bit_loops():
     for name in ("T", "MI", "O", "Ac", "WEAK_AND", "WEAK_OR", "SELF_DUAL",
                  "complete"):
         assert min(outcomes[name, True], outcomes[name, False]) >= 100, outcomes
+
+
+def test_row_routes_match_the_scans_on_every_two_state_matrix(s2):
+    # each of the 2^16 matrices, read as a strict matrix (every strict part
+    # is among them), gets the same O verdict from the row tests as from
+    # the scan; Ac on each matrix that holds T and MI, where the kernel
+    # test decides, agrees with the per-triple loop
+    inclusion = s2.inclusion
+    outcomes = Counter()
+    for rows in product(range(16), repeat=4):
+        o = relations._o_holds(rows, inclusion)
+        assert o == (relations._o_gap(rows, inclusion) is None), rows
+        outcomes["O", o] += 1
+        rel = ConfidenceRelation(s2, rows)
+        if rel.t_gap is None and relations._mi_gap(rows, inclusion) is None:
+            assert check_axiom(rel, "Ac").holds == naive_ac(rows), rows
+            outcomes["T+MI"] += 1
+    assert outcomes["T+MI"] == 13, outcomes
+    assert min(outcomes["O", True], outcomes["O", False]) >= 100, outcomes
+
+
+def _intersected_orders(rng, count):
+    # T+MI relations at n = 3..6: the intersection of one to three orders
+    # induced by possibility, necessity, belief and plausibility
+    for i in range(count):
+        n = 3 + i % 4
+        space = make_space([f"s{k}" for k in range(n)])
+        rows = None
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(4)
+            if kind < 2:
+                values = [F(rng.randint(0, 3), 3) for _ in range(n - 1)] + [F(1)]
+                rng.shuffle(values)
+                measure = possibility(space, values)
+                flavor = "necessity" if kind else None
+            else:
+                focal = rng.sample(range(1, 1 << n), rng.randint(1, 3))
+                measure = mass(space, {m: F(1, len(focal)) for m in focal})
+                flavor = "plausibility" if kind == 3 else None
+            induced = induce_relation(measure, flavor).rows
+            rows = induced if rows is None else tuple(
+                r & s for r, s in zip(rows, induced))
+        yield ConfidenceRelation(space, rows)
+
+
+def test_ac_kernel_route_matches_the_scan_on_intersected_orders(monkeypatch):
+    # on T+MI relations, Ac holds exactly where the kernel test passes,
+    # and the scan then runs only to find the same first witness; O by
+    # rows agrees with its scan on the strict parts
+    scans = []
+    real_gap = relations._ac_gap
+
+    def counted_gap(*args):
+        scans.append(args)
+        return real_gap(*args)
+
+    monkeypatch.setattr(relations, "_ac_gap", counted_gap)
+    outcomes = Counter()
+    for rel in _intersected_orders(random.Random(41), 1200):
+        assert rel.t_gap is None and check_axiom(rel, "MI").holds, rel.rows
+        strict, above = relations._strict_parts(rel.rows, rel.cols)
+        inclusion = rel.space.inclusion
+        scans.clear()
+        verdict = check_axiom(rel, "Ac")
+        assert len(scans) == (not verdict.holds), rel.rows
+        assert _bits_of(verdict) == real_gap(strict, above, inclusion), rel.rows
+        assert relations._o_holds(strict, inclusion), rel.rows
+        outcomes[rel.space.n, verdict.holds] += 1
+    assert min(outcomes.values()) >= 50 and len(outcomes) == 8, outcomes
 
 
 def _measure_orders(rng):
