@@ -4,19 +4,22 @@ A relation is one integer row per event: bit b of rows[a] says a is held
 at least as confident as b. Nothing is assumed at construction; axioms
 are checked on demand, each returning the first violating instance in
 increasing bitmask order, which re-evaluates against the relation.
-Transpose and dual are one delta-swap kernel (_delta_swap). A relation's
-transpose is its cols, built once on first use; the strict part, the
-equivalences and completeness all read it (_strict_parts), and the
-space's inclusion table is built once per n (StateSpace.inclusion).
-Checkers test a row of events a step:
+Transpose and dual are one delta-swap kernel (_delta_swap): the rows are
+packed into one integer, and each of the n levels is one masked swap
+over the whole matrix. A relation's transpose is its cols, built once on
+first use; the strict part, the equivalences and completeness all read
+it (_strict_parts), and the space's inclusion table is built once per n
+(StateSpace.inclusion). Checkers test a row of events a step:
 
-- T groups events by identical row (_t_gap, once per relation as its
-  t_gap); MI is one mask test per row (_mi_gap). O "holds" is decided by
-  n * 2^n row tests (_o_holds), and Ac "holds", once T and MI give O, by
-  the paper's closure theorem: one kernel test per context on its
-  accepted parts (_kernels_accepted). Only where these fail do the scans
-  run, with all b2 or c at once, to find the first witness (_o_gap and
-  _ac_gap). lift_strict shares all four, measures the Ac pair.
+- T walks the classes of identical rows by growing popcount, each row
+  from its highest bit, where a met row strictly inside belongs to a
+  class that has passed and is cleared whole (_t_gap, once per relation
+  as its t_gap); MI is one mask test per row (_mi_gap). O "holds" is
+  decided by n * 2^n row tests (_o_holds), and Ac "holds", once T and MI
+  give O, by the paper's closure theorem: one kernel test per context on
+  its accepted parts (_kernels_accepted). Only where these fail do the
+  scans run, with all b2 or c at once, to find the first witness (_o_gap
+  and _ac_gap). lift_strict shares all four, measures the Ac pair.
 - ADD, TYPE_OR, TYPE_AND: adding a's states one at a time turns (b, c)
   into (a|b, a|c) by one-state steps, so the first failing a is a single
   state x, and one shifted row per b holds every c (_additivity_gap).
@@ -164,31 +167,52 @@ class ConfidenceRelation:
 def _delta_swap(rows, anti: bool) -> list[int]:
     """The transpose of a square bit matrix (bit b of row a to bit a of
     row b), or with anti its anti-transpose (bit b of row a to bit
-    comp(a) of row comp(b)), on a copy of the rows.
+    comp(a) of row comp(b)), as a new list of rows.
 
-    For j = size/2, ..., 1, each row r with bit j clear trades bits with
-    row r + j in one delta swap over the columns c with bit j clear (the
-    mask): the transpose swaps bit c + j of row r with bit c of row r + j,
-    the anti-transpose bit c of row r with bit c + j of row r + j. Each
-    level flips bit j of both row and column, where they differ for the
-    transpose and where they agree for the anti-transpose."""
-    rows = list(rows)
+    The rows are packed into one integer, row r at bit r * stride, with
+    the stride rounded up to whole bytes so that to_bytes and from_bytes
+    do the packing. For j = size/2, ..., 1, each row r with bit j clear
+    trades bits with row r + j in one delta swap over the whole matrix:
+    the transpose swaps bit c + j of row r with bit c of row r + j, a
+    distance of j * stride - j, and the anti-transpose bit c of row r
+    with bit c + j of row r + j, a distance of j * stride + j, for every
+    column c with bit j clear. Each level flips bit j of both row and
+    column, where they differ for the transpose and where they agree for
+    the anti-transpose. The level's mask is the column pattern copied to
+    the rows with bit j clear, by one shift-or doubling for each bit of
+    the row index but j. It is built on each call: cached, the masks of
+    n=10 would hold megabytes for the life of the process.
+
+    At n=10 the packed matrix is a 140 KB integer, and packing and
+    unpacking its 1,024 rows take about two fifths of the time. Each
+    swap makes integers of that size, and where the allocator maps and
+    unmaps each one, three transposes inside a larger job can cost a
+    millisecond more than they do back to back."""
     size = len(rows)
+    width = (size + 7) >> 3
+    stride = width << 3
+    packed = int.from_bytes(
+        b"".join([row.to_bytes(width, "little") for row in rows]), "little")
     full = (1 << size) - 1
     j = size >> 1
     while j:
         mask = full // ((1 << 2 * j) - 1) * ((1 << j) - 1)
-        # rows r + lift (low bits moving up) and r + j - lift (high bits
-        # moving down) pair up
-        lift = 0 if anti else j
-        for r in range(size):
-            if not r & j:
-                low, high = rows[r + lift], rows[r + j - lift]
-                swap = (low ^ high >> j) & mask
-                rows[r + lift] = low ^ swap
-                rows[r + j - lift] = high ^ swap << j
+        if anti:
+            shift = j * stride + j
+        else:
+            mask <<= j
+            shift = j * stride - j
+        k = 1
+        while k < size:
+            if k != j:
+                mask |= mask << k * stride
+            k <<= 1
+        swap = (packed ^ packed >> shift) & mask
+        packed ^= swap ^ swap << shift
         j >>= 1
-    return rows
+    data = packed.to_bytes(size * width, "little")
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, size * width, width)]
 
 
 def _transpose(rows) -> list[int]:
@@ -258,30 +282,40 @@ def _ev(space, *masks) -> tuple:
 
 def _t_gap(rows) -> Optional[tuple[int, int, int]]:
     """First (a, b, c) with a >= b and b >= c but not a >= c. Events are
-    grouped by identical row, and each class's row is walked one met
-    class at a time: b is the first member whose row is not inside, c the
-    lowest bit outside. Classes go by growing popcount, so a smaller met
-    class is decided, and one that holds is cleared with its whole row.
-    Each step clears the met class's members, so irreflexive rows end."""
-    members = {}
+    grouped by identical row, classes go by growing popcount, and each
+    class's row is walked from its highest bit b, one met class
+    met = rows[b] at a time. A met row strictly inside has a smaller
+    popcount, so its class is decided, and one that holds is cleared with
+    its whole row. Each step clears the met class's members, so
+    irreflexive rows end. Under MI high events tend to hold the most, so
+    from the top most of a row clears in a few steps; from the bottom,
+    the first met row is the empty event's, which clears little. A met
+    row not inside fails the class, and only then is the row scanned for
+    the witness: a its lowest member, b the lowest event in the row whose
+    row is not inside, c the lowest bit outside."""
+    # the events of each row class, and once the class passes its row too:
+    # what meeting that class clears
+    cleared = {}
     for a, row in enumerate(rows):
-        members[row] = members.get(row, 0) | 1 << a
-    holds = set()
+        cleared[row] = cleared.get(row, 0) | 1 << a
     first = None
-    for row in sorted(members, key=int.bit_count):
+    for row in sorted(cleared, key=int.bit_count):
         todo = row
         while todo:
-            b = (todo & -todo).bit_length() - 1
-            met = rows[b]
-            excess = met & ~row
-            if excess:
-                a = (members[row] & -members[row]).bit_length() - 1
+            met = rows[todo.bit_length() - 1]
+            if met & ~row:
+                a = (cleared[row] & -cleared[row]).bit_length() - 1
                 if first is None or a < first[0]:
+                    scan = row
+                    while not rows[(scan & -scan).bit_length() - 1] & ~row:
+                        scan &= scan - 1
+                    b = (scan & -scan).bit_length() - 1
+                    excess = rows[b] & ~row
                     first = a, b, (excess & -excess).bit_length() - 1
                 break
-            todo &= ~(members[met] | (met if met in holds else 0))
+            todo &= ~cleared[met]
         else:
-            holds.add(row)
+            cleared[row] |= row
     return first
 
 
@@ -720,10 +754,14 @@ def accepted_set(rel: ConfidenceRelation, context: Event) -> Kernel:
         flags.add("no_belief")
     elif kern == 0:
         flags.add("empty_kernel")
+    accepted = []
+    todo = acc
+    while todo:
+        accepted.append(Event(rel.space, (todo & -todo).bit_length() - 1))
+        todo &= todo - 1
     return Kernel(
         context=context,
-        accepted=tuple(Event(rel.space, a) for a in range(rel.space.size)
-                       if acc >> a & 1),
+        accepted=tuple(accepted),
         kernel=Event(rel.space, kern),
         flags=frozenset(flags),
     )

@@ -432,18 +432,20 @@ def _kernel_matrices(rng, n):
 
 
 def test_transpose_kernels_match_per_bit_loops():
+    # n <= 2 packs rows narrower than a byte into byte-wide strides
     rng = random.Random(12)
-    for n in (*range(7), 8):
-        for rows in _kernel_matrices(rng, n):
-            cols, dual = _transpose(rows), _delta_swap(rows, True)
-            assert tuple(cols) == reference_transpose(rows), (n, rows)
-            assert tuple(dual) == reference_dual(rows), (n, rows)
-            assert tuple(_transpose(cols)) == rows, (n, rows)
-            assert tuple(_delta_swap(dual, True)) == rows, (n, rows)
-            if n:
-                space = make_space([f"s{i}" for i in range(n)])
-                rel = ConfidenceRelation(space, rows)
-                assert rel.cols == reference_transpose(rows), (n, rows)
+    matrices = [rows for n in range(10) for rows in _kernel_matrices(rng, n)]
+    matrices.append(tuple(rng.getrandbits(1 << 10) for _ in range(1 << 10)))
+    for rows in matrices:
+        n = len(rows).bit_length() - 1
+        cols, dual = _transpose(rows), _delta_swap(rows, True)
+        assert tuple(cols) == reference_transpose(rows), (n, rows)
+        assert tuple(dual) == reference_dual(rows), (n, rows)
+        assert tuple(_transpose(cols)) == rows, (n, rows)
+        assert tuple(_delta_swap(dual, True)) == rows, (n, rows)
+        if n:
+            space = make_space([f"s{i}" for i in range(n)])
+            assert ConfidenceRelation(space, rows).cols == tuple(cols), (n, rows)
 
 
 def test_checkers_share_one_transpose_and_one_inclusion_table(view_builds):
@@ -568,7 +570,9 @@ def test_row_routes_match_the_scans_on_every_two_state_matrix(s2):
     # each of the 2^16 matrices, read as a strict matrix (every strict part
     # is among them), gets the same O verdict from the row tests as from
     # the scan; Ac on each matrix that holds T and MI, where the kernel
-    # test decides, agrees with the per-triple loop
+    # test decides, agrees with the per-triple loop. T's class walk gives
+    # the per-triple loop's verdict and first witness on every matrix, and
+    # lift_strict its reference's outcome on every irreflexive one
     inclusion = s2.inclusion
     outcomes = Counter()
     for rows in product(range(16), repeat=4):
@@ -576,35 +580,50 @@ def test_row_routes_match_the_scans_on_every_two_state_matrix(s2):
         assert o == (relations._o_gap(rows, inclusion) is None), rows
         outcomes["O", o] += 1
         rel = ConfidenceRelation(s2, rows)
-        if rel.t_gap is None and relations._mi_gap(rows, inclusion) is None:
+        t = reference_t(rows)
+        assert _bits_of(check_axiom(rel, "T")) == t, rows
+        outcomes["T", t is None] += 1
+        if not any(row >> a & 1 for a, row in enumerate(rows)):
+            pairs = {(a, b) for a in range(4) for b in range(4) if rows[a] >> b & 1}
+            got = _lift_outcome(s2, pairs)
+            assert got == reference_lift_strict(pairs, 2), rows
+            outcomes["lift", got[1][0] if got[1] else "lifted"] += 1
+        if t is None and relations._mi_gap(rows, inclusion) is None:
             assert check_axiom(rel, "Ac").holds == naive_ac(rows), rows
             outcomes["T+MI"] += 1
     assert outcomes["T+MI"] == 13, outcomes
     assert min(outcomes["O", True], outcomes["O", False]) >= 100, outcomes
+    assert min(outcomes["T", True], outcomes["T", False]) >= 100, outcomes
+    assert sum(v for k, v in outcomes.items() if k[0] == "lift") == 4096, outcomes
+    assert min(outcomes["lift", k] for k in ("lifted", "T", "O")) >= 10, outcomes
+
+
+def _intersected_order(rng, n):
+    # a T+MI relation: the intersection of one to three orders induced by
+    # possibility, necessity, belief and plausibility
+    space = make_space([f"s{k}" for k in range(n)])
+    rows = None
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind < 2:
+            values = [F(rng.randint(0, 3), 3) for _ in range(n - 1)] + [F(1)]
+            rng.shuffle(values)
+            measure = possibility(space, values)
+            flavor = "necessity" if kind else None
+        else:
+            focal = rng.sample(range(1, 1 << n), rng.randint(1, 3))
+            measure = mass(space, {m: F(1, len(focal)) for m in focal})
+            flavor = "plausibility" if kind == 3 else None
+        induced = induce_relation(measure, flavor).rows
+        rows = induced if rows is None else tuple(
+            r & s for r, s in zip(rows, induced))
+    return ConfidenceRelation(space, rows)
 
 
 def _intersected_orders(rng, count):
-    # T+MI relations at n = 3..6: the intersection of one to three orders
-    # induced by possibility, necessity, belief and plausibility
+    # T+MI relations at n = 3..6
     for i in range(count):
-        n = 3 + i % 4
-        space = make_space([f"s{k}" for k in range(n)])
-        rows = None
-        for _ in range(rng.randint(1, 3)):
-            kind = rng.randrange(4)
-            if kind < 2:
-                values = [F(rng.randint(0, 3), 3) for _ in range(n - 1)] + [F(1)]
-                rng.shuffle(values)
-                measure = possibility(space, values)
-                flavor = "necessity" if kind else None
-            else:
-                focal = rng.sample(range(1, 1 << n), rng.randint(1, 3))
-                measure = mass(space, {m: F(1, len(focal)) for m in focal})
-                flavor = "plausibility" if kind == 3 else None
-            induced = induce_relation(measure, flavor).rows
-            rows = induced if rows is None else tuple(
-                r & s for r, s in zip(rows, induced))
-        yield ConfidenceRelation(space, rows)
+        yield _intersected_order(rng, 3 + i % 4)
 
 
 def test_ac_kernel_route_matches_the_scan_on_intersected_orders(monkeypatch):
@@ -631,6 +650,52 @@ def test_ac_kernel_route_matches_the_scan_on_intersected_orders(monkeypatch):
         assert relations._o_holds(strict, inclusion), rel.rows
         outcomes[rel.space.n, verdict.holds] += 1
     assert min(outcomes.values()) >= 50 and len(outcomes) == 8, outcomes
+
+
+def _t_orders(rng, count):
+    # (family, rows) at n = 3..6, one n = 6 in forty as the per-triple
+    # loop takes 25 ms there: sup orders of possibility degrees with ties,
+    # intersections of one to three induced orders, and transitive
+    # closures of random rows with one set bit dropped
+    for i in range(count):
+        family = ("sup", "intersection", "dropped")[i % 3]
+        n = 6 if i // 3 % 40 == 39 else 3 + i // 3 % 3
+        if family == "sup":
+            space = make_space([f"s{k}" for k in range(n)])
+            values = [F(rng.randint(0, 3), 3) for _ in range(n - 1)] + [F(1)]
+            rng.shuffle(values)
+            yield family, induce_sup_relation(possibility(space, values)).rows
+        elif family == "intersection":
+            yield family, _intersected_order(rng, n).rows
+        else:
+            size = 1 << n
+            density = rng.choice((0.02, 0.05, 0.1, 0.2))
+            rows = [sum(1 << b for b in range(size) if rng.random() < density)
+                    | (1 << a if rng.random() < 0.5 else 0)
+                    for a in range(size)]
+            for k in range(size):
+                for a in range(size):
+                    if rows[a] >> k & 1:
+                        rows[a] |= rows[k]
+            bits = [(a, b) for a in range(size) for b in range(size)
+                    if rows[a] >> b & 1]
+            if bits:
+                a, b = rng.choice(bits)
+                rows[a] &= ~(1 << b)
+            yield family, tuple(rows)
+
+
+def test_t_walk_matches_the_triple_loop_on_seeded_orders():
+    # the class walk gives the per-triple loop's verdict and first witness
+    outcomes = Counter()
+    for family, rows in _t_orders(random.Random(43), 1200):
+        expected = reference_t(rows)
+        space = make_space([f"s{k}" for k in range(len(rows).bit_length() - 1)])
+        verdict = check_axiom(ConfidenceRelation(space, rows), "T")
+        assert _bits_of(verdict) == expected, (family, rows)
+        outcomes[family, verdict.holds] += 1
+    assert outcomes["sup", True] == outcomes["intersection", True] == 400, outcomes
+    assert min(outcomes["dropped", True], outcomes["dropped", False]) >= 100, outcomes
 
 
 def _measure_orders(rng):
