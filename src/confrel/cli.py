@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 from . import fileio, measures, preferential, relations, representation
@@ -40,14 +39,10 @@ def _sha256(path: str) -> str:
 def _jsonable(value):
     if isinstance(value, Event):
         return list(value.names())
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
     return value
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .errors import DuplicateState, EmptySpace, SpaceMismatch, TooLarge
 
@@ -213,6 +213,22 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
         if sub == 0:
             return
+
+
+def _bits_of(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
+def _first_pair(masks) -> Optional[tuple[int, int]]:
+    """(i, b) for the first non-zero masks[i] and its lowest bit b, or
+    None when every mask is zero."""
+    for i, mask in enumerate(masks):
+        if mask:
+            return i, (mask & -mask).bit_length() - 1
+    return None
 
 
 def all_events(space: StateSpace) -> Iterator[Event]:

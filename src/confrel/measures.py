@@ -337,9 +337,8 @@ def classify_acceptance_belief(measure: Measure) -> str:
     focal = dict(_int_weights(measure)[1])
 
     inclusion = measure.space.inclusion
+    # never empty: bel(full) = 1 > bel(empty) = 0 accepts the full event
     acc = _accepted(_table_rows(bel), full, inclusion)
-    if not acc:
-        return "none"
     kern = _kernel(acc, inclusion)
 
     label = "none"

@@ -17,9 +17,9 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional
 
-from .core import Event, StateSpace, submasks
+from .core import Event, StateSpace, _bits_of, submasks
 from .errors import EmptyAntecedent, ReflexiveAssertion, SpaceMismatch
-from .relations import ConfidenceRelation, Verdict
+from .relations import ConfidenceRelation, Verdict, _strict_parts
 
 Pair = tuple[int, int]
 
@@ -366,13 +366,11 @@ def entails(base: ConditionalBase, query: Conditional) -> bool:
 # round trips between bases and relations
 
 def strict_disjoint_pairs(rel: ConfidenceRelation) -> set[Pair]:
-    out = set()
-    full = rel.space.full_mask
-    for a in range(rel.space.size):
-        for b in submasks(full & ~a):
-            if rel.s(a, b):
-                out.add((a, b))
-    return out
+    """Every (a, b) with a > b and a, b disjoint, off the strict rows."""
+    strict, _ = _strict_parts(rel.rows, rel.cols)
+    inclusion, full = rel.space.inclusion, rel.space.full_mask
+    return {(a, b) for a, row in enumerate(strict)
+            for b in _bits_of(row & inclusion[full & ~a])}
 
 
 def _pair_events(space, *pairs) -> tuple:

@@ -4,12 +4,13 @@ A relation is one integer row per event: bit b of rows[a] says a is held
 at least as confident as b. Nothing is assumed at construction; axioms
 are checked on demand, each returning the first violating instance in
 increasing bitmask order, which re-evaluates against the relation.
-Transpose and dual are one delta-swap kernel (_delta_swap): the rows are
+The transpose is one delta-swap kernel (_delta_swap): the rows are
 packed into one integer, and each of the n levels is one masked swap
 over the whole matrix. A relation's transpose is its cols, built once on
-first use; the strict part, the equivalences and completeness all read
-it (_strict_parts), and the space's inclusion table is built once per n
-(StateSpace.inclusion). Checkers test a row of events a step:
+first use; the strict part, the equivalences, completeness and the dual
+all read it (_strict_parts; row a of the dual is cols[comp(a)] with its
+bits reversed, _reversed_bits), and the space's inclusion table is built
+once per n (StateSpace.inclusion). Checkers test a row of events a step:
 
 - T walks the classes of identical rows by growing popcount, each row
   from its highest bit, where a met row strictly inside belongs to a
@@ -31,8 +32,8 @@ it (_strict_parts), and the space's inclusion table is built once per n
   also give plausible_union_growth.
 - Qual takes every c of one (a, b) at once, spreading the shifted rows
   over the parts of c inside a and inside b by carry-free products
-  (_qual_gap). SELF_DUAL reads dual row a as cols[comp(a)] reversed, and
-  CP and the poles are a mask on row and column 0 or full (_reversed_bits).
+  (_qual_gap). SELF_DUAL compares each row with its dual row, and CP
+  and the poles are a mask on row and column 0 or full.
 - The events accepted in context c are the parts u <= c with u > c ^ u,
   spread over every u | x with x outside c by the carry-free product
   with inclusion[comp(c)] (_accepted); condition(c) uses the same
@@ -49,7 +50,8 @@ from itertools import product
 from operator import or_, xor
 from typing import Iterator, Optional
 
-from .core import Event, StateSpace, _bits, _triple_masks, submasks
+from .core import (Event, StateSpace, _bits, _bits_of, _first_pair,
+                   _triple_masks, submasks)
 from .errors import SpaceMismatch, StrictAxiomViolation, TooLarge
 
 
@@ -132,17 +134,16 @@ class ConfidenceRelation:
         return _first_incomparable(self.rows, self.cols) is None
 
     def weak_pairs(self) -> Iterator[tuple[Event, Event]]:
-        for a in range(self.space.size):
-            row = self.rows[a]
-            while row:
-                b = (row & -row).bit_length() - 1
+        for a, row in enumerate(self.rows):
+            for b in _bits_of(row):
                 yield Event(self.space, a), Event(self.space, b)
-                row &= row - 1
 
     def dual(self) -> "ConfidenceRelation":
-        """A >= B in the dual iff comp(B) >= comp(A)."""
-        return ConfidenceRelation(self.space,
-                                  tuple(_delta_swap(self.rows, True)))
+        """A >= B in the dual iff comp(B) >= comp(A): row a of the dual
+        is cols[comp(a)], bit b read as bit comp(b)."""
+        size = self.space.size
+        return ConfidenceRelation(self.space, tuple(
+            _reversed_bits(col, size) for col in reversed(self.cols)))
 
     def condition(self, c: Event) -> "ConfidenceRelation":
         """A >= B given c iff A&c >= B&c. Row a is the carry-free product
@@ -164,24 +165,21 @@ class ConfidenceRelation:
         return cls(space, tuple(rows))
 
 
-def _delta_swap(rows, anti: bool) -> list[int]:
+def _delta_swap(rows) -> list[int]:
     """The transpose of a square bit matrix (bit b of row a to bit a of
-    row b), or with anti its anti-transpose (bit b of row a to bit
-    comp(a) of row comp(b)), as a new list of rows.
+    row b), as a new list of rows.
 
     The rows are packed into one integer, row r at bit r * stride, with
     the stride rounded up to whole bytes so that to_bytes and from_bytes
     do the packing. For j = size/2, ..., 1, each row r with bit j clear
     trades bits with row r + j in one delta swap over the whole matrix:
-    the transpose swaps bit c + j of row r with bit c of row r + j, a
-    distance of j * stride - j, and the anti-transpose bit c of row r
-    with bit c + j of row r + j, a distance of j * stride + j, for every
-    column c with bit j clear. Each level flips bit j of both row and
-    column, where they differ for the transpose and where they agree for
-    the anti-transpose. The level's mask is the column pattern copied to
-    the rows with bit j clear, by one shift-or doubling for each bit of
-    the row index but j. It is built on each call: cached, the masks of
-    n=10 would hold megabytes for the life of the process.
+    bit c + j of row r goes with bit c of row r + j, a distance of
+    j * stride - j, for every column c with bit j clear. Each level thus
+    flips bit j of both row and column where they differ. The level's
+    mask is the column pattern copied to the rows with bit j clear, by
+    one shift-or doubling for each bit of the row index but j. It is
+    built on each call: cached, the masks of n=10 would hold megabytes
+    for the life of the process.
 
     At n=10 the packed matrix is a 140 KB integer, and packing and
     unpacking its 1,024 rows take about two fifths of the time. Each
@@ -196,12 +194,8 @@ def _delta_swap(rows, anti: bool) -> list[int]:
     full = (1 << size) - 1
     j = size >> 1
     while j:
-        mask = full // ((1 << 2 * j) - 1) * ((1 << j) - 1)
-        if anti:
-            shift = j * stride + j
-        else:
-            mask <<= j
-            shift = j * stride - j
+        mask = full // ((1 << 2 * j) - 1) * ((1 << j) - 1) << j
+        shift = j * stride - j
         k = 1
         while k < size:
             if k != j:
@@ -217,7 +211,7 @@ def _delta_swap(rows, anti: bool) -> list[int]:
 
 def _transpose(rows) -> list[int]:
     """The bit matrix with bit a of row b set iff bit b of rows[a] is."""
-    return _delta_swap(rows, False)
+    return _delta_swap(rows)
 
 
 def _strict_parts(rows, cols) -> tuple[list[int], list[int]]:
@@ -362,10 +356,7 @@ def _o_gap(strict, inclusion) -> Optional[tuple[int, int, int, int]]:
             # gap at a | sup needs a member of row missing from row2
             if sup and not row & ~row2:
                 continue
-            todo = row
-            while todo:
-                b = (todo & -todo).bit_length() - 1
-                todo &= todo - 1
+            for b in _bits_of(row):
                 missing = inclusion[b] & ~row2
                 if missing:
                     return a, a | sup, b, (missing & -missing).bit_length() - 1
@@ -493,10 +484,7 @@ def _intersection_gap(members: int, inclusion) -> Optional[tuple[int, int]]:
     u | x with x outside a, so the non-members inside a, times
     inclusion[comp(a)], cover every b that fails with a."""
     full = len(inclusion) - 1
-    todo = members
-    while todo:
-        a = (todo & -todo).bit_length() - 1
-        todo &= todo - 1
+    for a in _bits_of(members):
         bad = members & (inclusion[a] & ~members) * inclusion[full & ~a]
         if bad:
             return a, (bad & -bad).bit_length() - 1
@@ -580,23 +568,27 @@ def _weak_gap(rel, grows: bool) -> Optional[tuple[int, int, int]]:
     return a, b, sup ^ b
 
 
+# each byte with its bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def _reversed_bits(x: int, size: int) -> int:
     """x read as size bits in reverse order: bit i goes to bit size-1-i,
-    which for a row of events is bit comp(i)."""
-    return int(format(x, f"0{size}b")[::-1], 2)
+    which for a row of events is bit comp(i). The bytes are reversed by
+    reading them in the other byte order, and the bits in each byte by
+    a table; the padding of the last byte is then shifted out."""
+    width = (size + 7) >> 3
+    data = x.to_bytes(width, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(data, "big") >> ((width << 3) - size)
 
 
 def _self_dual_gap(rel):
-    """First (a, b) where the relation and its dual differ. Row a of the
-    dual is cols[comp(a)] reversed, built one row at a time, so an order
-    that fails early pays only for the rows up to its witness."""
-    full, size = rel.space.full_mask, rel.space.size
-    cols = rel.cols
-    for a, row in enumerate(rel.rows):
-        diff = row ^ _reversed_bits(cols[full & ~a], size)
-        if diff:
-            return a, (diff & -diff).bit_length() - 1
-    return None
+    """First (a, b) where the relation and its dual differ. The dual rows
+    are read as in dual(), one at a time, so an order that fails early
+    pays only for the rows up to its witness."""
+    size = rel.space.size
+    return _first_pair(row ^ _reversed_bits(col, size)
+                       for row, col in zip(rel.rows, reversed(rel.cols)))
 
 
 def _cp_gap(rel):
@@ -724,8 +716,7 @@ def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]
     _grow_orientation(strict, space.inclusion)
     _transitive_close(strict)
     return {(Event(space, a), Event(space, b))
-            for b, row in enumerate(strict)
-            for a in range(space.size) if row >> a & 1}
+            for b, row in enumerate(strict) for a in _bits_of(row)}
 
 
 def strict_order_from_chain(space: StateSpace, chain) -> set[tuple[Event, Event]]:
@@ -754,14 +745,9 @@ def accepted_set(rel: ConfidenceRelation, context: Event) -> Kernel:
         flags.add("no_belief")
     elif kern == 0:
         flags.add("empty_kernel")
-    accepted = []
-    todo = acc
-    while todo:
-        accepted.append(Event(rel.space, (todo & -todo).bit_length() - 1))
-        todo &= todo - 1
     return Kernel(
         context=context,
-        accepted=tuple(accepted),
+        accepted=tuple(Event(rel.space, a) for a in _bits_of(acc)),
         kernel=Event(rel.space, kern),
         flags=frozenset(flags),
     )
@@ -814,18 +800,15 @@ def kernel_characterization(rel: ConfidenceRelation) -> Verdict:
 
 
 def conditional_kernel_characterization(rel: ConfidenceRelation) -> Verdict:
-    """Same characterization inside every context that is strictly plausible."""
+    """Same characterization inside every context that is strictly
+    plausible. Something is accepted in each: c itself, as c > 0."""
     axiom = "conditional_kernel_characterization"
     inclusion = rel.space.inclusion
     for c, acc in enumerate(_accepted_by_context(rel)):
-        if not rel.s(c, 0):
-            continue
-        if not acc:
-            return Verdict(axiom, False, _ev(rel.space, c),
-                           detail="plausible context with nothing accepted")
-        found = _kernel_gap(acc, inclusion)
-        if found:
-            return Verdict(axiom, False, _ev(rel.space, c, *found))
+        if rel.s(c, 0):
+            found = _kernel_gap(acc, inclusion)
+            if found:
+                return Verdict(axiom, False, _ev(rel.space, c, *found))
     return Verdict(axiom, True)
 
 

@@ -28,9 +28,10 @@ all members agree on equivalences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-from .core import DECOMPOSE_MAX, Event, StateSpace, submasks
+from .core import (DECOMPOSE_MAX, Event, StateSpace, _bits_of, _first_pair,
+                   submasks)
 from .errors import (NotAcceptance, SharedEquivalenceViolated, SpaceMismatch,
                      TooLarge)
 from .relations import (ConfidenceRelation, _first_incomparable,
@@ -79,12 +80,6 @@ def _commit(rows, forbidden, x: int, y: int) -> Optional[tuple[int, int]]:
         return (x, y)
     rows[x] |= 1 << y
     return None
-
-
-def _bits_of(mask: int) -> Iterator[int]:
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 def _close(state, seeds, inclusion) -> Optional[tuple[int, int]]:
@@ -139,16 +134,7 @@ def _close(state, seeds, inclusion) -> Optional[tuple[int, int]]:
                     # a > b|c
                     cs = new & above[b] >> a & ~(strict[a] >> b)
                     seeds.extend((a, b | c) for c in _bits_of(cs))
-    return _first_clash(rows, above)
-
-
-def _first_clash(rows, forbidden) -> Optional[tuple[int, int]]:
-    """The first edge (a, b) in bitmask order that is weak and forbidden."""
-    for a, row in enumerate(rows):
-        bad = row & forbidden[a]
-        if bad:
-            return a, (bad & -bad).bit_length() - 1
-    return None
+    return _first_pair(row & f for row, f in zip(rows, above))
 
 
 def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradiction]:
@@ -182,7 +168,7 @@ def ac_close(cr: ConstrainedRelation) -> Union[ConstrainedRelation, Contradictio
             break
         _close(state, seeds, inclusion)
     forbidden = tuple(f | a for f, a in zip(cr.forbidden, above))
-    clash = _first_clash(rows, forbidden)
+    clash = _first_pair(row & f for row, f in zip(rows, forbidden))
     if clash is not None:
         return Contradiction((Event(space, clash[0]), Event(space, clash[1])))
     return ConstrainedRelation(space, tuple(rows), forbidden)
@@ -272,13 +258,16 @@ def recompose(family: Family) -> ConfidenceRelation:
     first = _equivalences(family.members[0])
     for i, member in enumerate(family.members[1:], 1):
         mine = _equivalences(member)
-        # the first (a, b), a < b, on which member i and member 0 differ
-        for a, (row, row0) in enumerate(zip(mine, first)):
-            diff = (row ^ row0) >> a >> 1
-            if diff:
-                pair = (Event(space, a),
-                        Event(space, a + (diff & -diff).bit_length()))
-                raise SharedEquivalenceViolated(pair, (0, i))
+        if mine != first:
+            # the first (a, b), a != b, on which member i and member 0
+            # differ; the rows are symmetric, so a < b. Members that
+            # differ only on the diagonal are not reflexive, which the
+            # acceptance check below reports
+            pair = _first_pair((row ^ row0) & ~(1 << a)
+                               for a, (row, row0) in enumerate(zip(mine, first)))
+            if pair:
+                raise SharedEquivalenceViolated(
+                    (Event(space, pair[0]), Event(space, pair[1])), (0, i))
     rows = list(family.members[0].rows)
     for member in family.members[1:]:
         for a in range(space.size):

@@ -23,16 +23,16 @@ def s3():
 @pytest.fixture
 def view_builds(monkeypatch):
     """Counts, from here on, of relations._delta_swap calls (each
-    transpose or dual) and core._inclusion_rows calls (each inclusion
-    table built). The per-n table cache starts empty, so a table that an
-    earlier test built is counted again here."""
+    transpose; a dual reads its relation's cols) and core._inclusion_rows
+    calls (each inclusion table built). The per-n table cache starts
+    empty, so a table that an earlier test built is counted again here."""
     core._inclusion_table.cache_clear()
     counts = Counter()
     swap, build = relations._delta_swap, core._inclusion_rows
 
-    def counted_swap(rows, anti):
+    def counted_swap(rows):
         counts["delta_swap"] += 1
-        return swap(rows, anti)
+        return swap(rows)
 
     def counted_build(n):
         counts["inclusion"] += 1

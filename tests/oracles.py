@@ -553,6 +553,35 @@ def reference_conditional_kernel_characterization(rows):
     return None
 
 
+def _equivalent(rows, a, b):
+    return weak_holds(rows, a, b) and weak_holds(rows, b, a)
+
+
+def reference_negligibility_chain(rows):
+    """First disjoint (a, b, c) with c ~ a > b but not
+    a ~ a|b ~ c ~ c|b > b."""
+    subs = [_ascending_submasks(m) for m in range(len(rows))]
+    for a, b, c in _disjoint_triples(subs):
+        if not (_equivalent(rows, c, a) and strict_holds(rows, a, b)):
+            continue
+        chain = (a, a | b, c, c | b)
+        if not (all(_equivalent(rows, x, y) for x, y in zip(chain, chain[1:]))
+                and strict_holds(rows, c | b, b)):
+            return a, b, c
+    return None
+
+
+def reference_negligibility_collapse(rows):
+    """First disjoint (a, b, c) with c ~ a > b but not b ~ the empty
+    event."""
+    subs = [_ascending_submasks(m) for m in range(len(rows))]
+    for a, b, c in _disjoint_triples(subs):
+        if (_equivalent(rows, c, a) and strict_holds(rows, a, b)
+                and not _equivalent(rows, b, 0)):
+            return a, b, c
+    return None
+
+
 # the strict-part axioms, T, MI, dual, condition and completeness, one
 # bit per step over every instance in bitmask order; each checker returns
 # the first witness or None

@@ -303,6 +303,11 @@ def test_gen_writes_loadable_artifacts(capsys, tmp_path):
                      "--n", "3")
     assert code == 0
     assert load_relation(rel_path).space.n == 3
+    bigstep_path = str(tmp_path / "bigstep.json")
+    code, _, _ = run(capsys, "gen", bigstep_path, "--type", "bigstep", "--n", "4")
+    assert code == 0
+    code, report = run_json(capsys, "classify-measure", bigstep_path)
+    assert code == 0 and report["result"]["big_stepped"]
     code, out, err = run(capsys, "gen", "--type", "lottery", "--n", "13")
     assert (code, out) == (2, "") and "cap of 12" in err
     code, _, _ = run(capsys, "gen", measure_path, "--type", "lottery",
@@ -331,6 +336,14 @@ def test_unusable_inputs_exit_2(capsys, tmp_path, necessity_file):
         assert code == 2 and out == "" and err == "error: --axioms names no axiom\n"
     code, _, err = run(capsys, "entail", "p !f", "--kb", str(bad))
     assert code == 2
+    # a formula with a character outside the grammar is bad input, not a
+    # traceback, in a query and in a context
+    kb = write_json(tmp_path, "kb.json", {"atoms": ["a", "b"], "rules": []})
+    for argv in (["entail", "a $ b |~ a", "--kb", kb],
+                 ["accepted", "--relation", path, "--given", "s1 $ s2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error:"), argv
+        assert "Traceback" not in err and "'$'" in err, argv
     code, _, err = run(capsys, "decompose", path, "--max-states", "2")
     assert code == 2 and "cap" in err
     for command, doc, field in (

@@ -4,6 +4,7 @@ import pytest
 
 from confrel import (
     AtomUniverse,
+    DuplicateState,
     FormulaSyntaxError,
     LabelledSpace,
     TooLarge,
@@ -84,6 +85,11 @@ def test_syntax_error_reports_position():
         parse("a b")
     with pytest.raises(FormulaSyntaxError):
         parse("")
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse("a $ b")
+    assert (err.value.position, err.value.found) == (2, "$")
+    # whitespace after the last token ends the input
+    assert parse("a & b \t\n") == parse("a & b")
 
 
 def test_unknown_atom_rejected_when_vocabulary_given():
@@ -108,6 +114,14 @@ def test_universe_models_match_bit_pattern_names():
     assert u.models("b & !f").names() == ("10",)
     assert u.models("false").is_empty()
     assert u.models("true").bits == u.space.full_mask
+
+
+def test_atom_names_are_non_empty_and_distinct():
+    for atoms, error in (([""], UnknownAtom), (["a", "b", "a"], DuplicateState)):
+        with pytest.raises(error):
+            AtomUniverse(atoms)
+        with pytest.raises(error):
+            LabelledSpace(["x"], atoms, {})
 
 
 def test_universe_caps_state_count():

@@ -49,6 +49,12 @@ def test_parse_rational_accepts_the_usual_spellings():
     assert parse_rational(F(2, 7)) == F(2, 7)
     with pytest.raises(ValueError):
         parse_rational(True)
+    # an exponent may reach 1000 either way, and no further
+    assert parse_rational("1e1000") == 10 ** 1000
+    assert parse_rational("1e-1000") == F(1, 10 ** 1000)
+    for text in ("1e1001", "1e-1001"):
+        with pytest.raises(ValueError, match="beyond 1000"):
+            parse_rational(text)
 
 
 def test_constructor_validation(s3):
@@ -56,6 +62,10 @@ def test_constructor_validation(s3):
         probability(s3, ["1/2", "1/2"])
     with pytest.raises(ValueError):
         probability(s3, ["1/2", "1/2", "1/2"])
+    with pytest.raises(ValueError, match="nonnegative"):
+        probability(s3, ["-1/2", "1", "1/2"])
+    with pytest.raises(ValueError, match="one value per state"):
+        possibility(s3, [1, 1])
     with pytest.raises(ValueError):
         possibility(s3, ["1/2", "1/4", "1/8"])
     with pytest.raises(ValueError):

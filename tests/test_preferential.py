@@ -74,6 +74,11 @@ def test_penguin_closure_matches_naive_oracle():
 
 def test_penguin_entailments():
     u, base = penguin_base()
+    # a base holds its conditionals, asked by value or by pair
+    given = list(base.conditionals())
+    assert [c.pair() for c in given] == list(base.pairs)
+    assert all(c in base and c.pair() in base for c in given)
+    assert conditional_from_formulas(u, "p", "f") not in base
     assert entails(base, conditional_from_formulas(u, "p", "!f"))
     assert not entails(base, conditional_from_formulas(u, "p", "f"))
     assert entails(base, conditional_from_formulas(u, "b & p", "!f"))

@@ -33,12 +33,13 @@ from confrel import (
     make_space,
     mass,
     negligibility_chain,
+    negligibility_collapse,
     plausible_union_growth,
     possibility,
     strict_order_from_chain,
 )
 from confrel import core, relations
-from confrel.relations import _delta_swap, _first_incomparable, _transpose
+from confrel.relations import _first_incomparable, _reversed_bits, _transpose
 from conftest import inclusion_relation
 from oracles import (
     naive_ac,
@@ -62,6 +63,8 @@ from oracles import (
     reference_kernel_characterization,
     reference_lift_strict,
     reference_mi,
+    reference_negligibility_chain,
+    reference_negligibility_collapse,
     reference_o,
     reference_plausible_union_growth,
     reference_pole,
@@ -432,30 +435,44 @@ def _kernel_matrices(rng, n):
 
 
 def test_transpose_kernels_match_per_bit_loops():
-    # n <= 2 packs rows narrower than a byte into byte-wide strides
+    # n <= 2 packs rows narrower than a byte into byte-wide strides; the
+    # dual is read off a relation's cols, and no space has n = 0 states
     rng = random.Random(12)
     matrices = [rows for n in range(10) for rows in _kernel_matrices(rng, n)]
     matrices.append(tuple(rng.getrandbits(1 << 10) for _ in range(1 << 10)))
     for rows in matrices:
         n = len(rows).bit_length() - 1
-        cols, dual = _transpose(rows), _delta_swap(rows, True)
+        cols = _transpose(rows)
         assert tuple(cols) == reference_transpose(rows), (n, rows)
-        assert tuple(dual) == reference_dual(rows), (n, rows)
         assert tuple(_transpose(cols)) == rows, (n, rows)
-        assert tuple(_delta_swap(dual, True)) == rows, (n, rows)
         if n:
-            space = make_space([f"s{i}" for i in range(n)])
-            assert ConfidenceRelation(space, rows).cols == tuple(cols), (n, rows)
+            rel = ConfidenceRelation(make_space([f"s{i}" for i in range(n)]), rows)
+            assert rel.cols == tuple(cols), (n, rows)
+            dual = rel.dual()
+            assert dual.rows == reference_dual(rows), (n, rows)
+            assert dual.dual() == rel, (n, rows)
+
+
+def test_reversed_bits_match_the_string_form():
+    # one byte-table reversal serves rows of 1 to 1024 events, with the
+    # end bits clear, set, or drawn
+    rng = random.Random(14)
+    for size in range(1, 1025):
+        ends = 1 | 1 << size - 1
+        for x in (0, ends, rng.getrandbits(size), rng.getrandbits(size) | ends):
+            assert _reversed_bits(x, size) == int(format(x, f"0{size}b")[::-1], 2), (
+                size, x)
 
 
 def test_checkers_share_one_transpose_and_one_inclusion_table(view_builds):
-    # on a fresh space, the checkers read the relation's cols and the
-    # space's inclusion table, each built once
+    # on a fresh space, the checkers and the dual read the relation's cols
+    # and the space's inclusion table, each built once
     space = make_space(["s1", "s2", "s3", "s4"])
     rel = from_table(space, [3 * a.bit_count() - (a & 5) for a in range(16)])
     for axiom in ("T", "MI", "O", "Ac", "CS", "AND", "ADD", "Qual", "CP",
                   "SELF_DUAL", "POSS_LIKE", "CERT_LIKE"):
         check_axiom(rel, axiom)
+    rel.dual()
     assert view_builds == {"delta_swap": 1, "inclusion": 1}
 
 
@@ -533,6 +550,24 @@ def test_acceptance_family_matches_per_definition_loops(monkeypatch):
         assert min(outcomes[name, True], outcomes[name, False]) >= 100, outcomes
     assert min(outcomes["closure by", "intersection"],
                outcomes["closure by", "kernel"]) >= 100, outcomes
+
+
+def test_negligibility_verdicts_match_per_definition_loops():
+    # random rows fail at an early triple, the orders of tables with ties
+    # and of monotone tables later or not at all
+    outcomes = Counter()
+    for n, rows in _family_matrices(random.Random(9), 1200):
+        if n not in (2, 3):
+            continue
+        rel = ConfidenceRelation(make_space([f"s{i}" for i in range(n)]), rows)
+        for check, reference in (
+                (negligibility_chain, reference_negligibility_chain),
+                (negligibility_collapse, reference_negligibility_collapse)):
+            verdict = check(rel)
+            assert _bits_of(verdict) == reference(rows), (check, rows)
+            assert verdict.holds == (verdict.witness is None)
+            outcomes[check.__name__, verdict.holds] += 1
+    assert min(outcomes.values()) >= 50 and len(outcomes) == 4, outcomes
 
 
 def test_strict_part_checkers_match_per_bit_loops():

@@ -112,6 +112,10 @@ def test_opposite_commitments_contradict(s2):
     twice = commit_strict(once, b, a)
     assert isinstance(twice, Contradiction)
     assert twice.pair == (a, b)
+    # a >= b forbidden while b >= a is not weak: the clash is the
+    # commitment's own edge
+    forbidding = ConstrainedRelation(s2, cr.rows, (0, 1 << b.bits, 0, 0))
+    assert commit_strict(forbidding, a, b) == Contradiction((a, b))
 
 
 def test_commit_strict_refuses_events_of_another_space(s2):
@@ -243,6 +247,16 @@ def test_recompose_witness_is_first_differing_equivalence(s3):
     a, b = err.value.pair
     assert (a.bits, b.bits) == (1, 5)
     assert err.value.members == (0, 2)
+
+
+def test_recompose_leaves_a_diagonal_only_difference_to_the_acceptance_check(s2):
+    # a member without {s1} >= {s1} differs from the inclusion order only
+    # on the diagonal, where no two events are equivalent; the
+    # intersection then fails MI
+    member = ConfidenceRelation(s2, (1, 1, 5, 15))
+    with pytest.raises(NotAcceptance) as err:
+        recompose(Family(s2, (inclusion_relation(s2), member)))
+    assert [v.axiom for v in err.value.verdicts if not v.holds] == ["MI"]
 
 
 def test_family_refuses_a_member_of_another_space(s3):
