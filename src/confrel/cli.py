@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from typing import Optional
 
 from . import fileio, measures, preferential, relations, representation
 from .core import DECOMPOSE_MAX, RELATION_MAX, Event, StateSpace, make_space
@@ -66,15 +65,8 @@ def _event_from_text(space: StateSpace, text: str) -> Event:
     return Event(space, labelled.models(text).bits)
 
 
-def _report(command: str, inputs: dict, result: dict,
-            started: Optional[float] = None) -> dict:
-    report = {"command": command, "inputs": inputs, "result": result}
-    if started is not None:
-        report["wall_time_s"] = round(time.monotonic() - started, 3)
-    return report
-
-
 def _render_text(value, indent: int = 0) -> list[str]:
+    """The lines of a dict or a non-empty list, nested ones indented."""
     pad = "  " * indent
     lines = []
     if isinstance(value, dict):
@@ -84,15 +76,13 @@ def _render_text(value, indent: int = 0) -> list[str]:
                 lines.extend(_render_text(v, indent + 1))
             else:
                 lines.append(f"{pad}{k}: {json.dumps(v)}")
-    elif isinstance(value, list):
+    else:
         for v in value:
             if isinstance(v, (dict, list)) and v:
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(v, indent + 1))
             else:
                 lines.append(f"{pad}- {json.dumps(v)}")
-    else:
-        lines.append(f"{pad}{json.dumps(value)}")
     return lines
 
 
@@ -393,11 +383,15 @@ def main(argv=None) -> int:
     started = time.monotonic() if args.timing else None
     try:
         code, inputs, result = args.handler(args)
-    except (ConfrelError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ConfrelError, ValueError, KeyError, OSError) as err:
+        # a KeyError's str is the repr of its message
+        message = err.args[0] if isinstance(err, KeyError) else err
+        print(f"error: {message}", file=sys.stderr)
         return 2
-    _emit(_report(args.subcommand, inputs, result, started), args)
+    report = {"command": args.subcommand, "inputs": inputs, "result": result}
+    if started is not None:
+        report["wall_time_s"] = round(time.monotonic() - started, 3)
+    _emit(report, args)
     return code
 
 

@@ -34,10 +34,8 @@ def _load(source: Source) -> dict:
 
 
 def _space(doc: dict, where: str, max_states) -> StateSpace:
-    names = _names(doc, "states", where)
-    if max_states is None:
-        return make_space(names)
-    return make_space(names, max_states)
+    return make_space(_names(doc, "states", where),
+                      RELATION_MAX if max_states is None else max_states)
 
 
 def _need(doc: dict, key: str, where: str):

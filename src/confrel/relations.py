@@ -4,7 +4,7 @@ A relation is one integer row per event: bit b of rows[a] says a is held
 at least as confident as b. Nothing is assumed at construction; axioms
 are checked on demand, each returning the first violating instance in
 increasing bitmask order, which re-evaluates against the relation.
-The transpose is one delta-swap kernel (_delta_swap): the rows are
+The transpose is one delta-swap kernel (_transpose): the rows are
 packed into one integer, and each of the n levels is one masked swap
 over the whole matrix. A relation's transpose is its cols, built once on
 first use; the strict part, the equivalences, completeness and the dual
@@ -15,8 +15,9 @@ once per n (StateSpace.inclusion). Checkers test a row of events a step:
 - T walks the classes of identical rows by growing popcount, each row
   from its highest bit, where a met row strictly inside belongs to a
   class that has passed and is cleared whole (_t_gap, once per relation
-  as its t_gap); MI is one mask test per row (_mi_gap). O "holds" is
-  decided by n * 2^n row tests (_o_holds), and Ac "holds", once T and MI
+  as its t_gap); MI is one mask test per row (_mi_gap). O "holds" iff
+  closing the strict part under O adds nothing (_o_holds runs
+  _grow_orientation on a copy), and Ac "holds", once T and MI
   give O, by the paper's closure theorem: one kernel test per context on
   its accepted parts (_kernels_accepted). Only where these fail do the
   scans run, with all b2 or c at once, to find the first witness (_o_gap
@@ -159,13 +160,18 @@ class ConfidenceRelation:
 
     @classmethod
     def from_weak_pairs(cls, space: StateSpace, pairs) -> "ConfidenceRelation":
-        rows = [0] * space.size
-        for a, b in pairs:
-            rows[_bits(a, space)] |= 1 << _bits(b, space)
-        return cls(space, tuple(rows))
+        return cls(space, tuple(_pair_rows(space, pairs)))
 
 
-def _delta_swap(rows) -> list[int]:
+def _pair_rows(space: StateSpace, pairs) -> list[int]:
+    """Bit b of row a for each pair (a, b), given as events or masks."""
+    rows = [0] * space.size
+    for a, b in pairs:
+        rows[_bits(a, space)] |= 1 << _bits(b, space)
+    return rows
+
+
+def _transpose(rows) -> list[int]:
     """The transpose of a square bit matrix (bit b of row a to bit a of
     row b), as a new list of rows.
 
@@ -209,11 +215,6 @@ def _delta_swap(rows) -> list[int]:
             for i in range(0, size * width, width)]
 
 
-def _transpose(rows) -> list[int]:
-    """The bit matrix with bit a of row b set iff bit b of rows[a] is."""
-    return _delta_swap(rows)
-
-
 def _strict_parts(rows, cols) -> tuple[list[int], list[int]]:
     """The strict part of weak rows, cols their transpose: bit b of strict[a]
     means a > b, and above is its transpose (bit a of above[b] means a > b)."""
@@ -249,21 +250,24 @@ def _transitive_close(rows: list[int]) -> None:
 
 
 def _grow_orientation(strict: list[int], inclusion) -> None:
-    """O axiom in place on a strict matrix kept per right side (bit a of
-    strict[b] means a > b): per state i, each row gains its left sides
-    with i added (shift-or over the events lacking i, a row of the
-    inclusion table) and is ORed into the row of its right side minus i."""
+    """Close a strict matrix (bit b of strict[a] means a > b) under O in
+    place: per state i, each row gains its right sides with i removed
+    (shift-or over the events lacking i, a row of the inclusion table)
+    and is ORed into the row of its left side with i added. Any a2 >= a
+    and b2 <= b are reached by one-state steps, and the steps of one
+    state commute with those of another, so one pass per state closes
+    the matrix. Empty rows are skipped."""
     size = len(strict)
     bit = 1
     while bit < size:
         lacking = inclusion[(size - 1) ^ bit]
-        for b in range(size):
-            row = strict[b]
+        for a in range(size):
+            row = strict[a]
             if row:
-                row |= (row & lacking) << bit
-                strict[b] = row
-                if b & bit:
-                    strict[b ^ bit] |= row
+                row |= row >> bit & lacking
+                strict[a] = row
+                if not a & bit:
+                    strict[a | bit] |= row
         bit <<= 1
 
 
@@ -325,22 +329,11 @@ def _mi_gap(rows, inclusion):
 
 
 def _o_holds(strict, inclusion) -> bool:
-    """O on a strict matrix (bit b of strict[a] means a > b), by rows: O
-    holds iff each row is a down-set and strict[a] is inside
-    strict[a | x] for every state x outside a, as any a2 >= a and b2 <= b
-    are reached by one-state steps. Per state, a row is closed under
-    removing it iff no member with the state lacks its part without."""
-    size = len(strict)
-    bit = 1
-    while bit < size:
-        lacking = inclusion[(size - 1) ^ bit]
-        for a, row in enumerate(strict):
-            if row >> bit & lacking & ~row:
-                return False
-            if not a & bit and row & ~strict[a | bit]:
-                return False
-        bit <<= 1
-    return True
+    """O on a strict matrix (bit b of strict[a] means a > b): it holds
+    iff closing the matrix under O adds nothing."""
+    closed = list(strict)
+    _grow_orientation(closed, inclusion)
+    return closed == list(strict)
 
 
 def _o_gap(strict, inclusion) -> Optional[tuple[int, int, int, int]]:
@@ -608,7 +601,7 @@ def _pole_gap(rel, pole: int):
 
 
 def _o_check(strict, inclusion):
-    """O by the row tests; the scan runs only to find the witness."""
+    """O by its closure; the scan runs only to find the witness."""
     return None if _o_holds(strict, inclusion) else _o_gap(strict, inclusion)
 
 
@@ -680,10 +673,7 @@ def lift_strict(space: StateSpace, strict_pairs) -> ConfidenceRelation:
     O is checked on the strict matrix itself, so Ac is decided by the
     kernel test, and the scans run only to find a witness.
     """
-    strict = [0] * space.size  # bit b of strict[a]: a > b
-    for a, b in strict_pairs:
-        strict[_bits(a, space)] |= 1 << _bits(b, space)
-
+    strict = _pair_rows(space, strict_pairs)  # bit b of strict[a]: a > b
     for a, row in enumerate(strict):
         if row >> a & 1:
             raise StrictAxiomViolation("IR", _ev(space, a))
@@ -710,13 +700,11 @@ def close_strict_pairs(space: StateSpace, seed_pairs) -> set[tuple[Event, Event]
     One O growth, then one transitive closure: the closure of an O-closed
     relation stays O-closed, since from a > b > c with a2 a superset of a
     and c2 a subset of c, O gives a2 > b and b > c2, and T a2 > c2."""
-    strict = [0] * space.size
-    for a, b in seed_pairs:
-        strict[_bits(b, space)] |= 1 << _bits(a, space)
+    strict = _pair_rows(space, seed_pairs)
     _grow_orientation(strict, space.inclusion)
     _transitive_close(strict)
     return {(Event(space, a), Event(space, b))
-            for b, row in enumerate(strict) for a in _bits_of(row)}
+            for a, row in enumerate(strict) for b in _bits_of(row)}
 
 
 def strict_order_from_chain(space: StateSpace, chain) -> set[tuple[Event, Event]]:

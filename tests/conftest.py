@@ -22,23 +22,27 @@ def s3():
 
 @pytest.fixture
 def view_builds(monkeypatch):
-    """Counts, from here on, of relations._delta_swap calls (each
-    transpose; a dual reads its relation's cols) and core._inclusion_rows
-    calls (each inclusion table built). The per-n table cache starts
+    """Counts, from here on, of _transpose calls (each transpose; a dual
+    reads its relation's cols) and core._inclusion_rows calls (each
+    inclusion table built). Every loaded confrel module that imports
+    _transpose gets the counting one. The per-n table cache starts
     empty, so a table that an earlier test built is counted again here."""
     core._inclusion_table.cache_clear()
     counts = Counter()
-    swap, build = relations._delta_swap, core._inclusion_rows
+    transpose, build = relations._transpose, core._inclusion_rows
 
-    def counted_swap(rows):
-        counts["delta_swap"] += 1
-        return swap(rows)
+    def counted_transpose(rows):
+        counts["transpose"] += 1
+        return transpose(rows)
 
     def counted_build(n):
         counts["inclusion"] += 1
         return build(n)
 
-    monkeypatch.setattr(relations, "_delta_swap", counted_swap)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("confrel.")
+                and getattr(module, "_transpose", None) is transpose):
+            monkeypatch.setattr(module, "_transpose", counted_transpose)
     monkeypatch.setattr(core, "_inclusion_rows", counted_build)
     return counts
 

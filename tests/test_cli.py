@@ -407,3 +407,15 @@ def test_readme_library_example_runs_as_written():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
     assert checked == 5
+
+
+def test_unknown_state_names_print_the_bare_message(capsys, tmp_path):
+    # a KeyError's message is printed as is, not in repr quotes
+    measure = write_json(tmp_path, "mass.json", {
+        "states": ["a", "b"], "type": "mass", "values": {"a,zz": "1"}})
+    relation = write_json(tmp_path, "rel.json", {
+        "states": ["a", "b"], "pairs": [[["a"], ["zz"]]]})
+    for argv in (["classify-measure", measure],
+                 ["check-axioms", relation]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: no state named 'zz'\n"), argv

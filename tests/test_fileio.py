@@ -174,6 +174,22 @@ def test_closed_kb_survives_dump_and_reclosure(penguin_doc):
     assert set(close_p(again).pairs) == set(closed.pairs)
 
 
+def test_inconsistent_closed_kb_dumps_false_and_reloads():
+    # p |~ q and p |~ !q close to p |~ false, which the dumper writes out
+    universe, base = load_kb({"atoms": ["p", "q"], "rules": [
+        {"if": "p", "then": "q"}, {"if": "p", "then": "!q"}]})
+    closed = close_p(base)
+    assert not closed.consistent
+    doc = dump_kb(universe, closed)
+    falsified = [universe.models(rule["if"]) for rule in doc["rules"]
+                 if rule["then"] == "false"]
+    assert universe.models("p") in falsified
+    _, again = load_kb(doc)
+    reclosed = close_p(again)
+    assert not reclosed.consistent
+    assert set(reclosed.pairs) == set(closed.pairs)
+
+
 def test_family_roundtrip(s2):
     fam = Family(
         s2,

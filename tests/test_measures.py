@@ -354,6 +354,26 @@ def test_ct_plausibility_via_labels(s3):
     assert not lottery.holds and lottery.via == "brute_force"
 
 
+@pytest.mark.parametrize("n, focal", [
+    # tied singletons; two minimal focals
+    (2, {1: "1/2", 2: "1/2"}),
+    # {s1} does not outweigh the smaller singletons; two minimal focals
+    (4, {1: "3/16", 2: "1/8", 4: "9/16", 8: "1/16", 5: "1/16"}),
+    # the non-singleton focals are no chain; two minimal focals
+    (4, {1: "2/7", 3: "1/7", 6: "3/14", 7: "5/14"}),
+    # no chain; {s2, s3, s4} adds two states to the kernel {s3}
+    (4, {4: "5/14", 5: "3/7", 14: "3/14"}),
+    # no chain; the satellite masses tie
+    (3, {1: "3/7", 3: "2/7", 5: "2/7"}),
+])
+def test_ct_plausibility_outside_both_patterns_is_brute_force(n, focal):
+    # each mass holds, and one rejecting clause of each pattern sends it
+    # to the exhaustive check
+    space = make_space([f"s{i}" for i in range(1, n + 1)])
+    assert recognize_ct_plausibility(mass(space, focal)) == CtPlausibility(
+        True, "brute_force")
+
+
 def test_condition_measure_rules():
     sp = make_space(["s1", "s2", "s3", "s4"])
     m = mass(sp, {sp.singleton("s1"): "2/5", sp.event(["s3", "s4"]): "3/5"})

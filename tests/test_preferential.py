@@ -59,6 +59,8 @@ def test_conditional_rejects_degenerate_inputs():
     assert trivial.violating.is_empty()
     with pytest.raises(ValueError):
         Conditional(u.models("b"), u.models("b"))
+    with pytest.raises(SpaceMismatch):
+        Conditional(u.models("b"), AtomUniverse(["p", "q"]).models("p"))
 
 
 # -- the closure -------------------------------------------------------------
@@ -84,6 +86,9 @@ def test_penguin_entailments():
     assert entails(base, conditional_from_formulas(u, "b & p", "!f"))
     with pytest.raises(EmptyAntecedent):
         entails(base, conditional_from_formulas(u, "f & !f", "b", allow_trivial=True))
+    # a query built by hand reaches entails with its empty context
+    with pytest.raises(EmptyAntecedent):
+        entails(base, Conditional(u.space.empty(), u.space.empty()))
 
 
 # raw pairs that are not two disjoint masks of a 3-state space: halves
@@ -380,6 +385,7 @@ def test_pair_rules():
     assert rule_or((0b100, 0b010), (0b001, 0b000)) == (0b101, 0b010)
     assert rule_or((0b100, 0b010), (0b010, 0b001)) is None
     assert rule_cm((0b101, 0b010), (0b110, 0b001)) == (0b100, 0b001)
+    assert rule_cm((0b100, 0b010), (0b001, 0b000)) is None
     assert rule_cut((0b110, 0b001), (0b100, 0b010)) == (0b100, 0b011)
     assert rule_cut((0b110, 0b001), (0b100, 0b001)) is None
     assert sorted(rule_rw((0b100, 0b011))) == [

@@ -205,6 +205,8 @@ def test_space_mismatch_between_relations_and_events(s2, s3):
         ConfidenceRelation(s2, (1, 3, 5, 16))
     with pytest.raises(ValueError):
         ConfidenceRelation(s2, (1, 3, -1, 15))
+    with pytest.raises(ValueError, match="one row per event"):
+        ConfidenceRelation(s2, (1, 3, 5))
     # and unless they are a tuple, as a relation caches its transpose
     with pytest.raises(TypeError):
         ConfidenceRelation(s2, [1, 3, 5, 15])
@@ -268,6 +270,12 @@ def test_chain_closure_produces_liftable_orders(s3):
     assert is_acceptance(rel)
     assert rel.strict(s3.event(["s1", "s2"]), s3.empty())
     assert rel.strict(s3.full(), s3.singleton("s1"))
+    # a superset is weakly above its subset, and other events only where
+    # the strict order puts them
+    assert rel.weak(s3.singleton("s2"), s3.empty())
+    assert not rel.weak(s3.singleton("s2"), s3.singleton("s1"))
+    # a verdict is true exactly when it holds
+    assert check_axiom(rel, "T") and not check_axiom(rel, "Qual")
 
 
 def test_close_strict_pairs_is_idempotent(s3):
@@ -473,7 +481,7 @@ def test_checkers_share_one_transpose_and_one_inclusion_table(view_builds):
                   "SELF_DUAL", "POSS_LIKE", "CERT_LIKE"):
         check_axiom(rel, axiom)
     rel.dual()
-    assert view_builds == {"delta_swap": 1, "inclusion": 1}
+    assert view_builds == {"transpose": 1, "inclusion": 1}
 
 
 def test_cached_views_leave_equality_hash_and_repr_alone(s3):
@@ -603,7 +611,7 @@ def test_strict_part_checkers_match_per_bit_loops():
 
 def test_row_routes_match_the_scans_on_every_two_state_matrix(s2):
     # each of the 2^16 matrices, read as a strict matrix (every strict part
-    # is among them), gets the same O verdict from the row tests as from
+    # is among them), gets the same O verdict from its closure as from
     # the scan; Ac on each matrix that holds T and MI, where the kernel
     # test decides, agrees with the per-triple loop. T's class walk gives
     # the per-triple loop's verdict and first witness on every matrix, and
@@ -663,8 +671,8 @@ def _intersected_orders(rng, count):
 
 def test_ac_kernel_route_matches_the_scan_on_intersected_orders(monkeypatch):
     # on T+MI relations, Ac holds exactly where the kernel test passes,
-    # and the scan then runs only to find the same first witness; O by
-    # rows agrees with its scan on the strict parts
+    # and the scan then runs only to find the same first witness; O,
+    # decided by its closure, holds on the strict parts
     scans = []
     real_gap = relations._ac_gap
 

@@ -173,7 +173,7 @@ def test_decompose_and_recompose_transpose_each_relation_once(view_builds):
         view_builds.clear()
         family = decompose(rel)
         assert recompose(family) == rel, seed
-        assert view_builds["delta_swap"] == 2 * (len(family.members) + 2), seed
+        assert view_builds["transpose"] == 2 * (len(family.members) + 2), seed
         assert view_builds["inclusion"] <= 1, seed
 
 
