@@ -183,10 +183,7 @@ def load_kb(source: Source, max_states=None):
 
 
 def _minterm(universe, state: str) -> str:
-    if isinstance(universe, LabelledSpace):
-        true_atoms = universe.labels[state]
-    else:
-        true_atoms = {a for i, a in enumerate(universe.atoms) if state[i] == "1"}
+    true_atoms = universe.labels[state]
     return " & ".join(a if a in true_atoms else f"!{a}" for a in universe.atoms)
 
 

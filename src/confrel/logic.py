@@ -11,9 +11,12 @@ The grammar is deliberately small:
 There is no biconditional; write (f -> g) & (g -> f). Operators and
 parentheses nest at most _MAX_DEPTH (100) deep, which keeps parsing and
 every recursive walk over a formula well inside Python's recursion limit.
+Only the parser reports a syntax error, naming what the grammar expects
+there; a character outside the grammar scans as a token of its own.
 A formula denotes an event (its set of models) in a space whose states
 carry truth assignments, either the full valuation space of an
-AtomUniverse or a user-declared space with per-state atom labellings.
+AtomUniverse or a user-declared space with per-state atom labellings;
+_models evaluates it over either by its labels.
 """
 
 from __future__ import annotations
@@ -63,24 +66,8 @@ Formula = Union[Atom, Const, Not, And, Or, Implies]
 
 _MAX_DEPTH = 100
 
-_TOKEN = re.compile(r"\s*(->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise FormulaSyntaxError(at, {"atom", "'('", "'!'"}, stripped[0])
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    tokens.append(("", len(text)))  # end marker
-    return tokens
+_ATOM = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"->|[!&|()]|{_ATOM.pattern}|\S")
 
 
 class _Parser:
@@ -88,8 +75,8 @@ class _Parser:
     counts the operators and parentheses on the formula's deepest path."""
 
     def __init__(self, text: str, known_atoms=None):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self.tokens.append(("", len(text)))  # end marker
         self.i = 0
         self.known = None if known_atoms is None else frozenset(known_atoms)
         self.open = 0  # '!', '(' and '->' the descent is currently inside
@@ -174,7 +161,7 @@ class _Parser:
         if tok == "false":
             self.next()
             return Const(False), 0
-        if tok and (tok[0].isalpha() or tok[0] == "_"):
+        if _ATOM.fullmatch(tok):
             self.next()
             if self.known is not None and tok not in self.known:
                 raise UnknownAtom(f"atom {tok!r} is not declared")
@@ -248,8 +235,9 @@ class AtomUniverse:
     """Atoms plus the induced space of all 2^m valuations.
 
     Valuation states are named by bit patterns: character i of the name is
-    '1' exactly when atom i (in declaration order) is true. Over atoms
-    (b, f) the models of "b -> f" are the states {"00", "01", "11"}.
+    '1' exactly when atom i (in declaration order) is true; labels maps
+    each name to its true atoms, as in LabelledSpace. Over atoms (b, f)
+    the models of "b -> f" are the states {"00", "01", "11"}.
     """
 
     def __init__(self, atoms, max_states: int = RELATION_MAX):
@@ -260,24 +248,16 @@ class AtomUniverse:
                 f"{m} atoms induce {1 << m} valuation states, over the cap "
                 f"of {max_states}"
             )
-        names = []
+        self.labels = {}
         for v in range(1 << m):
-            names.append("".join("1" if v >> i & 1 else "0" for i in range(m)))
-        self.space = StateSpace(tuple(names), self.atoms)
-
-    def parse(self, text: str) -> Formula:
-        return parse(text, self.atoms)
+            true_atoms = frozenset(a for i, a in enumerate(self.atoms) if v >> i & 1)
+            name = "".join("1" if a in true_atoms else "0" for a in self.atoms)
+            self.labels[name] = true_atoms
+        self.space = StateSpace(tuple(self.labels), self.atoms)
 
     def models(self, f) -> Event:
         """The event of valuations satisfying f (a Formula or text)."""
-        if isinstance(f, str):
-            f = self.parse(f)
-        idx = {a: i for i, a in enumerate(self.atoms)}
-        bits = 0
-        for v in range(len(self.space.states)):
-            if evaluate(f, lambda a, v=v: bool(v >> idx[a] & 1)):
-                bits |= 1 << v
-        return Event(self.space, bits)
+        return _models(self, f)
 
 
 class LabelledSpace:
@@ -306,14 +286,17 @@ class LabelledSpace:
         self.space = replace(space, atoms=self.atoms,
                              labels=tuple(self.labels[s] for s in space.states))
 
-    def parse(self, text: str) -> Formula:
-        return parse(text, self.atoms)
-
     def models(self, f) -> Event:
-        if isinstance(f, str):
-            f = self.parse(f)
-        bits = 0
-        for i, s in enumerate(self.space.states):
-            if evaluate(f, self.labels[s].__contains__):
-                bits |= 1 << i
-        return Event(self.space, bits)
+        return _models(self, f)
+
+
+def _models(universe, f) -> Event:
+    """The event of the states where f (a Formula or text) holds, each
+    state read off its labels: the set of atoms true in it."""
+    if isinstance(f, str):
+        f = parse(f, universe.atoms)
+    bits = 0
+    for i, s in enumerate(universe.space.states):
+        if evaluate(f, universe.labels[s].__contains__):
+            bits |= 1 << i
+    return Event(universe.space, bits)

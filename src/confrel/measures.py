@@ -29,6 +29,8 @@ _ONE = Fraction(1)
 # Fraction expands "1e9999999" into a ten-million-digit integer, so
 # exponent spellings beyond this size are refused before parsing
 _MAX_EXPONENT = 1000
+_GRID = 4
+_MAX_WEIGHT = 9
 
 
 def parse_rational(value) -> Fraction:
@@ -281,19 +283,20 @@ def descending_powers_probability(space: StateSpace) -> Measure:
     )
 
 
-def random_possibility(space: StateSpace, rng, denominator: int = 4) -> Measure:
-    """Random grid-valued distribution; coarse grids make ties likely."""
+def random_possibility(space: StateSpace, rng) -> Measure:
+    """Random distribution on multiples of 1/_GRID; ties are likely."""
     while True:
-        vals = [Fraction(rng.randint(0, denominator), denominator) for _ in range(space.n)]
+        vals = [Fraction(rng.randint(0, _GRID), _GRID) for _ in range(space.n)]
         if max(vals) == _ONE:
             return possibility(space, vals)
 
 
-def random_mass(space: StateSpace, rng, max_focals: int = 4, max_weight: int = 9) -> Measure:
+def random_mass(space: StateSpace, rng, max_focals: int = 4) -> Measure:
+    """Up to max_focals focal sets, weighed 1 to _MAX_WEIGHT, normalised."""
     full = space.full_mask
     count = rng.randint(1, min(max_focals, full))
     focal_masks = rng.sample(range(1, full + 1), count)
-    weights = [rng.randint(1, max_weight) for _ in focal_masks]
+    weights = [rng.randint(1, _MAX_WEIGHT) for _ in focal_masks]
     total = sum(weights)
     return mass(space, {m: Fraction(w, total) for m, w in zip(focal_masks, weights)})
 

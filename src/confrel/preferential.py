@@ -53,8 +53,8 @@ def conditional_from_formulas(universe, antecedent: str, consequent: str,
     already entails carry no information and are rejected unless
     explicitly allowed.
     """
-    ante = universe.models(universe.parse(antecedent))
-    cons = universe.models(universe.parse(consequent))
+    ante = universe.models(antecedent)
+    cons = universe.models(consequent)
     ctx = ante.bits
     if ctx == 0:
         raise EmptyAntecedent(f"antecedent {antecedent!r} has no models")

@@ -473,10 +473,14 @@ def _upward_gap(members: int, inclusion, within=None) -> Optional[tuple[int, int
 
 
 def _intersection_gap(members: int, inclusion) -> Optional[tuple[int, int]]:
-    """First (a, b): both members, a & b not. The b meeting a in u are
-    u | x with x outside a, so the non-members inside a, times
-    inclusion[comp(a)], cover every b that fails with a."""
+    """First (a, b): both members, a & b not. No members, or exactly the
+    supersets of the lowest member k, pass on one mask test; otherwise
+    the b meeting a in u are u | x with x outside a, so the non-members
+    inside a, times inclusion[comp(a)], cover every b that fails with a."""
     full = len(inclusion) - 1
+    k = (members & -members).bit_length() - 1
+    if not members or members == inclusion[full ^ k] << k:
+        return None
     for a in _bits_of(members):
         bad = members & (inclusion[a] & ~members) * inclusion[full & ~a]
         if bad:
@@ -742,19 +746,15 @@ def accepted_set(rel: ConfidenceRelation, context: Event) -> Kernel:
 
 
 def check_closure(rel: ConfidenceRelation, context: Event) -> Verdict:
-    """Is the accepted set closed under supersets and pairwise intersection?
-    An up-set is closed under intersection iff it is empty or holds its
-    kernel, so _intersection_gap runs only when neither is so."""
+    """Is the accepted set closed under supersets and pairwise intersection?"""
     rel._check(context, context)
     inclusion = rel.space.inclusion
     acc = _accepted(rel.rows, context.bits, inclusion)
-    found = _upward_gap(acc, inclusion)
-    if found:
-        return Verdict("closure", False, _ev(rel.space, *found), detail="superset")
-    if acc and not acc >> _kernel(acc, inclusion) & 1:
-        found = _intersection_gap(acc, inclusion)
-        return Verdict("closure", False, _ev(rel.space, *found),
-                       detail="intersection")
+    for detail, gap in (("superset", _upward_gap),
+                        ("intersection", _intersection_gap)):
+        found = gap(acc, inclusion)
+        if found:
+            return Verdict("closure", False, _ev(rel.space, *found), detail=detail)
     return Verdict("closure", True)
 
 

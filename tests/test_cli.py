@@ -1,5 +1,6 @@
 import ast
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -407,6 +408,21 @@ def test_readme_library_example_runs_as_written():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
     assert checked == 5
+
+
+def test_readme_lottery_example_runs_as_written(capsys, tmp_path, monkeypatch):
+    # the sh block that starts with gen lottery.json, and the result object
+    # shown in the json block after it
+    blocks = README.read_text(encoding="utf-8").split("```")
+    i = next(i for i, block in enumerate(blocks)
+             if block.startswith("sh\nconfrel gen lottery.json"))
+    gen, classify = (shlex.split(line, comments=True)[1:]
+                     for line in blocks[i].splitlines()[1:])
+    shown = json.loads("{" + blocks[i + 2].removeprefix("json\n") + "}")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *gen)[0] == 0
+    code, report = run_json(capsys, *classify)
+    assert (code, report["result"]) == (1, shown["result"])
 
 
 def test_unknown_state_names_print_the_bare_message(capsys, tmp_path):

@@ -140,7 +140,17 @@ def test_kb_roundtrip_over_atoms(penguin_doc):
     universe, base = load_kb(penguin_doc)
     assert isinstance(universe, AtomUniverse)
     assert len(base.pairs) == 3
-    universe2, base2 = load_kb(dump_kb(universe, base))
+    doc = dump_kb(universe, base)
+    # each event is the disjunction of its states' minterms, in state order
+    assert doc == {"atoms": ["b", "f", "p"], "rules": [
+        {"if": "(!b & !f & p) | (b & !f & p) | (!b & f & p) | (b & f & p)",
+         "then": "(!b & !f & p) | (b & !f & p)"},
+        {"if": "(b & !f & !p) | (b & f & !p) | (b & !f & p) | (b & f & p)",
+         "then": "(b & f & !p) | (b & f & p)"},
+        {"if": "(!b & !f & p) | (b & !f & p) | (!b & f & p) | (b & f & p)",
+         "then": "(b & !f & p) | (b & f & p)"},
+    ]}
+    universe2, base2 = load_kb(doc)
     assert set(base2.pairs) == set(base.pairs)
 
 

@@ -1,10 +1,25 @@
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "confrel").glob("*.py")
+ROOT = Path(__file__).parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "confrel").glob("*.py")
                  if p.name != "__init__.py")
+SOURCES = sorted([*(ROOT / "src" / "confrel").glob("*.py"),
+                  *(ROOT / "bench").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_sources_compile_without_warnings(path):
+    # an invalid escape in a string literal warns only when the source is
+    # compiled (a SyntaxWarning from Python 3.12 on), which cached bytecode
+    # hides; compile() reads the source afresh and writes no bytecode
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
 def _imported(tree):

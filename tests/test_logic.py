@@ -37,14 +37,14 @@ def test_to_text_roundtrips_structure(text):
     assert parse(to_text(f)) == f
 
 
-def _random_formula(rng, depth):
+def _random_formula(rng, depth, atoms="abc"):
     if depth == 0 or rng.random() < 0.2:
-        return rng.choice([Atom("a"), Atom("b"), Atom("c"), Const(True),
-                           Const(False)])
+        return rng.choice([*map(Atom, atoms), Const(True), Const(False)])
     kind = rng.choice([Not, And, Or, Implies])
     if kind is Not:
-        return Not(_random_formula(rng, depth - 1))
-    return kind(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+        return Not(_random_formula(rng, depth - 1, atoms))
+    return kind(_random_formula(rng, depth - 1, atoms),
+                _random_formula(rng, depth - 1, atoms))
 
 
 def test_to_text_roundtrips_generated_formulas():
@@ -85,9 +85,21 @@ def test_syntax_error_reports_position():
         parse("a b")
     with pytest.raises(FormulaSyntaxError):
         parse("")
-    with pytest.raises(FormulaSyntaxError) as err:
-        parse("a $ b")
-    assert (err.value.position, err.value.found) == (2, "$")
+    # a stray character is a token of its own, so the parser reports what
+    # the grammar expects at it
+    after_operand = ("'&'", "'->'", "'|'", "end of input")
+    operand = ("'!'", "'('", "'false'", "'true'", "atom")
+    for text, position, expected in (("s1,", 2, after_operand),
+                                     ("a $ b", 2, after_operand),
+                                     ("a -", 2, after_operand),
+                                     ("b | ~ f", 4, operand),
+                                     ("é", 0, operand),
+                                     ("a & é", 4, operand),
+                                     ("1a", 0, operand)):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert (err.value.position, err.value.expected) == (position, expected)
+        assert err.value.found == text[position], text
     # whitespace after the last token ends the input
     assert parse("a & b \t\n") == parse("a & b")
 
@@ -114,6 +126,22 @@ def test_universe_models_match_bit_pattern_names():
     assert u.models("b & !f").names() == ("10",)
     assert u.models("false").is_empty()
     assert u.models("true").bits == u.space.full_mask
+    # the labels are the bit-pattern reading of the names, and the models
+    # of a formula are the valuations v where it evaluates true, atom i
+    # taking bit i of v
+    rng = random.Random(11)
+    for m in range(1, 5):
+        atoms = "abcd"[:m]
+        u = AtomUniverse(atoms, max_states=16)
+        assert u.labels == {
+            name: frozenset(a for a, bit in zip(atoms, name) if bit == "1")
+            for name in u.space.states}
+        for _ in range(200):
+            f = _random_formula(rng, rng.randint(1, 5), atoms)
+            expected = sum(1 << v for v in range(1 << m) if evaluate(
+                f, lambda a, v=v: v >> atoms.index(a) & 1 == 1))
+            assert u.models(f).bits == expected, (m, f)
+            assert u.models(to_text(f)).bits == expected, (m, f)
 
 
 def test_atom_names_are_non_empty_and_distinct():

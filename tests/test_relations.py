@@ -499,16 +499,17 @@ def test_cached_views_leave_equality_hash_and_repr_alone(s3):
 
 def test_acceptance_family_matches_per_definition_loops(monkeypatch):
     outcomes = Counter()
-    # check_closure runs _intersection_gap only when the accepted set is
-    # an up-set that is neither empty nor holds its kernel
-    real_gap = relations._intersection_gap
-    gap_calls = []
+    # inside check_closure only _intersection_gap walks the members
+    # (_bits_of), and it does so only when the accepted set is an up-set
+    # that is neither empty nor the supersets of its lowest member
+    real_scan = relations._bits_of
+    scans = []
 
-    def counted_gap(members, inclusion):
-        gap_calls.append(members)
-        return real_gap(members, inclusion)
+    def counted_scan(mask):
+        scans.append(mask)
+        return real_scan(mask)
 
-    monkeypatch.setattr(relations, "_intersection_gap", counted_gap)
+    monkeypatch.setattr(relations, "_bits_of", counted_scan)
     for n, rows in _family_matrices(random.Random(5), 1200):
         sp = make_space([f"s{i}" for i in range(n)])
         rel = ConfidenceRelation(sp, rows)
@@ -541,10 +542,10 @@ def test_acceptance_family_matches_per_definition_loops(monkeypatch):
             assert kernel.kernel.bits == kern
             assert kernel.flags == ({"no_belief"} if not accepted else
                                     {"empty_kernel"} if kern == 0 else set())
-            gap_calls.clear()
+            scans.clear()
             closure = check_closure(rel, sp.event_from_bits(c))
             if closure.detail != "superset":
-                ran = bool(gap_calls)
+                ran = bool(scans)
                 assert ran == (closure.detail == "intersection"), (c, rows)
                 outcomes["closure by", "intersection" if ran else "kernel"] += 1
             expected = reference_closure(rows, c)
